@@ -1,23 +1,26 @@
 //! Micro-benchmarks of the building blocks: device primitives, combining,
 //! bulk build, STM transactions, kernel launch.
 
-use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
+use criterion::{
+    criterion_group, criterion_main, BatchSize, BenchmarkGroup, BenchmarkId, Criterion,
+};
 use eirene_bench::harness::{default_mix, spec_for};
 use eirene_btree::build::{arena_budget, bulk_build};
 use eirene_core::plan::build_plan;
-use eirene_primitives::radix_sort_pairs;
+use eirene_primitives::{radix_sort_pairs, RadixKey};
 use eirene_sim::{Device, DeviceConfig, GlobalMemory, WarpCtx};
 use eirene_stm::Stm;
 use eirene_workloads::WorkloadGen;
 use rand::{Rng, SeedableRng};
 
-fn bench_radix_sort(c: &mut Criterion) {
-    let mut g = c.benchmark_group("radix_sort");
+/// Times one key width: 22-bit keys (the combining sort's shape at 2^20
+/// keys, three digit passes) and full-width random keys.
+fn bench_sort_width<K: RadixKey>(g: &mut BenchmarkGroup<'_>, width: &str, key: impl Fn(u64) -> K) {
     let cfg = DeviceConfig::default();
     for n in [1usize << 12, 1 << 16] {
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(1);
-        let keys: Vec<u64> = (0..n).map(|_| rng.gen()).collect();
-        g.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
+        let keys: Vec<K> = (0..n).map(|_| key(rng.gen())).collect();
+        g.bench_with_input(BenchmarkId::new(width, n), &n, |b, _| {
             b.iter_batched(
                 || (keys.clone(), (0..n as u32).collect::<Vec<u32>>()),
                 |(mut k, mut p)| radix_sort_pairs(&mut k, &mut p, &cfg),
@@ -25,6 +28,12 @@ fn bench_radix_sort(c: &mut Criterion) {
             )
         });
     }
+}
+
+fn bench_radix_sort(c: &mut Criterion) {
+    let mut g = c.benchmark_group("radix_sort");
+    bench_sort_width(&mut g, "u32_22bit", |r| (r & ((1 << 22) - 1)) as u32);
+    bench_sort_width(&mut g, "u64", |r| r);
     g.finish();
 }
 

@@ -19,7 +19,7 @@ pub enum IssuedKind {
 }
 
 /// One issued request (exactly one per distinct point-request key).
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Issued {
     pub key: Key,
     pub kind: IssuedKind,
@@ -28,7 +28,7 @@ pub struct Issued {
 }
 
 /// A run: all point requests on one key, in timestamp order.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Run {
     pub key: Key,
     /// Start offset into [`CombinePlan::point_sorted`].
@@ -40,7 +40,7 @@ pub struct Run {
 }
 
 /// A range query, sorted into the batch by its lower bound.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RangeReq {
     /// Position of the request in the original batch.
     pub orig_idx: u32,
@@ -52,7 +52,7 @@ pub struct RangeReq {
 /// An artificial query (§4.1.2): "key `run.key` as of timestamp `ts`",
 /// generated because a range query covers a key that has updates in the
 /// batch. Its resolved value patches slot `offset` of range `range_idx`.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Artificial {
     pub range_idx: u32,
     pub offset: u32,
@@ -111,30 +111,48 @@ impl CombinePlan {
 
 /// Builds the combining plan for a batch (§4.1, §4.1.2).
 ///
-/// Sorting uses the radix-sort device primitive over composite
-/// `(key << 32) | timestamp-rank` keys, exactly as the implementation
-/// sorts with CUB (§7); the sort's modelled cost — and the combining
-/// scans' — are part of the returned plan, because the paper charges them
-/// to Eirene in every measurement (§8.1).
+/// Sorting uses the radix-sort device primitive over the 32-bit keys
+/// alone, as the implementation sorts with CUB (§7). LSD radix sort is
+/// stable, so feeding it the batch in timestamp order yields exactly the
+/// (key, timestamp) order combining needs. The sorts' modelled cost — and
+/// the combining scans' — are part of the returned plan, because the paper
+/// charges them to Eirene in every measurement (§8.1).
 pub fn build_plan(batch: &Batch, cfg: &DeviceConfig) -> CombinePlan {
     let n = batch.len();
     assert!(n < (1 << 32), "batch too large for 32-bit timestamp ranks");
+    let reqs = &batch.requests;
 
-    // Logical-timestamp ranks: requests may carry arbitrary (unique) ts
-    // values; the composite sort key needs them compressed to 32 bits.
-    let mut by_ts: Vec<u32> = (0..n as u32).collect();
-    by_ts.sort_unstable_by_key(|&i| (batch.requests[i as usize].ts, i));
-    let mut rank = vec![0u32; n];
-    for (r, &i) in by_ts.iter().enumerate() {
-        rank[i as usize] = r as u32;
-    }
+    // Timestamp order. Serve epochs and generated batches already arrive
+    // in it, which one reduce over adjacent timestamps detects; a
+    // non-decreasing run breaks equal-timestamp ties in batch order, so
+    // the rank is the identity. Otherwise a stable radix sort of the
+    // timestamps computes the order, ties again resolving in batch order.
+    let mut cost = PrimCost::reduction(cfg, n as u64, 1);
+    let (mut keys, mut payload, rank): (Vec<Key>, Vec<u32>, Vec<u32>) =
+        if reqs.windows(2).all(|w| w[0].ts <= w[1].ts) {
+            let identity: Vec<u32> = (0..n as u32).collect();
+            (
+                reqs.iter().map(|r| r.key).collect(),
+                identity.clone(),
+                identity,
+            )
+        } else {
+            let mut ts: Vec<u64> = reqs.iter().map(|r| r.ts).collect();
+            let mut by_ts: Vec<u32> = (0..n as u32).collect();
+            cost.merge(radix_sort_pairs(&mut ts, &mut by_ts, cfg));
+            // One pass over the order: gather the keys, scatter the ranks.
+            cost.merge(PrimCost::streaming(cfg, n as u64, 1, 2));
+            let mut rank = vec![0u32; n];
+            for (r, &i) in by_ts.iter().enumerate() {
+                rank[i as usize] = r as u32;
+            }
+            let keys = by_ts.iter().map(|&i| reqs[i as usize].key).collect();
+            (keys, by_ts, rank)
+        };
 
-    // Composite sort: key (range queries by lower bound) then timestamp.
-    let mut keys: Vec<u64> = (0..n)
-        .map(|i| ((batch.requests[i].key as u64) << 32) | rank[i] as u64)
-        .collect();
-    let mut payload: Vec<u32> = (0..n as u32).collect();
-    let mut cost = radix_sort_pairs(&mut keys, &mut payload, cfg);
+    // Key-only sort (range queries by lower bound) of the timestamp-ordered
+    // requests: stability keeps each key's requests in timestamp order.
+    cost.merge(radix_sort_pairs(&mut keys, &mut payload, cfg));
 
     // Single scan: split into point requests (forming runs) and range
     // queries, pick the issued request per run.

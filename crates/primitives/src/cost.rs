@@ -23,10 +23,22 @@ impl PrimCost {
     /// writes the stream once) plus `control_per_word` control instructions
     /// per word per pass.
     pub fn streaming(cfg: &DeviceConfig, words: u64, passes: u64, control_per_word: u64) -> Self {
-        let touched = 2 * words * passes; // read + write per pass
+        // Read + write per pass.
+        Self::traffic(cfg, 2 * words * passes, words * passes * control_per_word)
+    }
+
+    /// Cost of a reduction that reads `words` words once, with
+    /// `control_per_word` control instructions per word, and writes only a
+    /// constant-size result.
+    pub fn reduction(cfg: &DeviceConfig, words: u64, control_per_word: u64) -> Self {
+        Self::traffic(cfg, words, words * control_per_word)
+    }
+
+    /// Cost of touching `touched` words and issuing `control_insts`
+    /// control instructions, under the shared latency model.
+    fn traffic(cfg: &DeviceConfig, touched: u64, control_insts: u64) -> Self {
         let mem_insts = touched.div_ceil(cfg.warp_size as u64);
         let mem_transactions = touched.div_ceil(cfg.transaction_words() as u64);
-        let control_insts = words * passes * control_per_word;
         let cycles = mem_transactions * cfg.mem_latency + control_insts * cfg.control_latency;
         PrimCost {
             mem_insts,
@@ -100,6 +112,16 @@ mod tests {
         assert_eq!(four.mem_words, 4 * one.mem_words);
         assert_eq!(four.control_insts, 4 * one.control_insts);
         assert!(four.cycles >= 4 * one.cycles - 8); // rounding slack
+    }
+
+    #[test]
+    fn reduction_reads_once_without_writing() {
+        let cfg = DeviceConfig::default();
+        let read = PrimCost::reduction(&cfg, 1000, 2);
+        let stream = PrimCost::streaming(&cfg, 1000, 1, 2);
+        assert_eq!(2 * read.mem_words, stream.mem_words);
+        assert_eq!(read.control_insts, stream.control_insts);
+        assert!(read.cycles < stream.cycles);
     }
 
     #[test]
