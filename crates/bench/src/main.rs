@@ -17,20 +17,9 @@ fn usage() -> ! {
          ablate-batch|ablate-mix|ablate-all> \
          [--paper-scale] [--smoke] [--batch N] [--repeats N] [--exps a,b,c] \
          [--jobs N] [--json PATH] [--trace PATH]\n       \
-         eirene-bench fuzz [--seed N] [--batches N] [--batch N] [--tree T] \
-         [--os-sched] [--inject-fault]   (differential fuzz harness)\n       \
-         eirene-bench fuzz --serve [--shards N] [--submitters N] [--batches N] [--batch N] \
-         [--domain N] [--initial-keys N] [--epoch-limit N] [--seed N] [--repro-seed H] \
-         [--os-sched|--det]   (sharded-serving fuzz)\n       \
-         eirene-bench fuzz --churn [--cases N] [--rounds N] [--serve-cases N] \
-         [--occupancy-factor N] [--seed N] [--repro-seed H] [--deterministic]   \
-         (churn/reclamation fuzz on one long-lived tree)\n       \
-         eirene-bench perf [--smoke] [--jobs N] [--out PATH] [--serve-out PATH] \
-         [--mem-out PATH] [--mem-only]   \
-         (wall-clock suite, writes BENCH_sim.json + BENCH_serve.json + BENCH_mem.json)\n       \
-         eirene-bench serve [--smoke] [--shards a,b,c] [--loads f,f] [--tree-exp N] \
-         [--requests N] [--batch-limit N] [--straddle F] [--clients N] [--seed N]   \
-         (sharded-serving throughput/QoS sweep)"
+         eirene-bench fuzz ...    differential fuzz harnesses (see eirene-bench fuzz --help)\n       \
+         eirene-bench perf ...    wall-clock suite (see eirene-bench perf --help)\n       \
+         eirene-bench serve ...   sharded-serving sweeps (see eirene-bench serve --help)"
     );
     std::process::exit(2);
 }

@@ -543,16 +543,38 @@ pub fn run_serve_case(
 
 /// Fault-injection probe for the admission reservation guard (the
 /// "submitter killed between reserve and push" leak): arms
-/// [`FaultPlan::panic_on_admit`] so the first admission panics on its own
-/// scratch thread *inside* the reserve→push window, then proves the slot
-/// was recovered during unwind — the full queue depth must still admit
-/// without shedding, every ticket must execute, and the drained report
-/// must balance. Before the guard existed this wedged admission at
-/// `queue_depth - 1` forever.
+/// [`FaultPlan::panic_on_admit`] so the first admission call panics on
+/// its own scratch thread *inside* the reserve→push window, then proves
+/// every reserved slot was recovered during unwind — the full queue depth
+/// must still admit on every shard without shedding, every ticket must
+/// execute, and the drained report must balance. Two victims, each on a
+/// fresh two-shard service: a single submit, and a batch spanning both
+/// shards plus a range split across the boundary. Before the guard
+/// existed this wedged admission below `queue_depth` forever.
 pub fn run_reservation_fault_case(queue_depth: usize) -> Result<(), String> {
+    const BOUNDARY: Key = 32;
+    reservation_fault_case(queue_depth, BOUNDARY, |client| {
+        let _ = client.submit(1, OpKind::Query);
+    })
+    .map_err(|e| format!("single-submit victim: {e}"))?;
+    reservation_fault_case(queue_depth, BOUNDARY, |client| {
+        let _ = client.submit_many(&[
+            (1, OpKind::Query),
+            (BOUNDARY + 8, OpKind::Query),
+            (BOUNDARY - 2, OpKind::Range { len: 4 }),
+        ]);
+    })
+    .map_err(|e| format!("batched victim: {e}"))
+}
+
+fn reservation_fault_case(
+    queue_depth: usize,
+    boundary: Key,
+    victim: fn(&Client),
+) -> Result<(), String> {
     let pairs = dense_pairs(64);
     let cfg = ServeConfig {
-        map: ShardMap::from_starts(vec![0]).expect("valid shard starts"),
+        map: ShardMap::from_starts(vec![0, boundary]).expect("valid shard starts"),
         device: DeviceConfig::test_small(),
         sizing: EpochSizing::Fixed(64),
         queue_depth,
@@ -570,18 +592,18 @@ pub fn run_reservation_fault_case(queue_depth: usize) -> Result<(), String> {
     // the injection working.
     let victim = {
         let client = svc.client();
-        std::thread::spawn(move || {
-            let _ = client.submit(1, OpKind::Query);
-        })
+        std::thread::spawn(move || victim(&client))
     };
     if victim.join().is_ok() {
         return Err("injected admission fault did not trip".into());
     }
-    // With the slot released, the *full* queue depth still fits behind
-    // the held gate; a leaked reservation would shed the last entry.
+    // With the slots released, the *full* queue depth of every shard
+    // still fits behind the held gate; a leaked reservation would shed
+    // the last entry of its shard.
     let client = svc.client();
-    let tickets: Vec<Ticket> = (0..queue_depth)
-        .map(|i| client.submit(1 + i as u32, OpKind::Query))
+    let tickets: Vec<Ticket> = (0..queue_depth as Key)
+        .flat_map(|i| [i % boundary, boundary + i])
+        .map(|key| client.submit(key, OpKind::Query))
         .collect();
     svc.release();
     let report = svc.shutdown();
@@ -601,13 +623,16 @@ pub fn run_reservation_fault_case(queue_depth: usize) -> Result<(), String> {
             report.shed()
         ));
     }
-    if report.enqueued() != queue_depth as u64 || report.executed() != queue_depth as u64 {
-        return Err(format!(
-            "post-fault accounting off: enqueued {} executed {} (want {queue_depth} each)",
-            report.enqueued(),
-            report.executed()
-        ));
+    for shard in &report.shards {
+        if shard.enqueued != queue_depth as u64 || shard.executed != queue_depth as u64 {
+            return Err(format!(
+                "post-fault accounting off on shard {}: enqueued {} executed {} \
+                 (want {queue_depth} each)",
+                shard.shard, shard.enqueued, shard.executed
+            ));
+        }
     }
+    report.assert_consistent();
     Ok(())
 }
 

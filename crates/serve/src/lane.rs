@@ -194,17 +194,16 @@ impl LaneSet {
 mod tests {
     use super::*;
     use crate::queue::Entry;
-    use crate::ticket::{Completion, Ticket};
+    use crate::ticket::{Completion, TicketBatch};
     use eirene_workloads::Request;
 
     fn entry(tenant: TenantId, key: u32) -> Entry {
-        let (_t, cell) = Ticket::new();
         Entry {
             req: Request::query(key, u64::MAX),
             deadline: None,
             arrival: 0,
             tenant,
-            completion: Completion::Direct(cell),
+            completion: Completion::Direct(TicketBatch::new(1).cell_ref(0)),
         }
     }
 

@@ -7,17 +7,15 @@
 //! bounded buffering with race-free admission accounting:
 //!
 //! - **Reservations** make shed-vs-admit decisions atomic: a submitter
-//!   reserves capacity first ([`IngressQueue::try_reserve`] /
-//!   [`IngressQueue::reserve_up_to`]) and then fills the reservation
-//!   through the returned [`Reservation`] guard, so two submitters racing
-//!   one remaining slot can never both admit past the configured depth.
-//!   Reservations are RAII: a guard dropped with unfilled slots — normal
-//!   return, early shed, or a *panicking* submitter — releases them, so a
-//!   killed submitter can never strand capacity and wedge admission.
-//! - **Bulk pushes** ([`Reservation::push_many`],
+//!   reserves capacity first ([`IngressQueue::reserve_up_to`], or a
+//!   [`Reservation`] guard from [`IngressQueue::try_reserve`]) and fills
+//!   it afterwards, so two submitters racing one remaining slot can never
+//!   both admit past the configured depth. Unfilled slots are released on
+//!   any exit, a *panicking* submitter included, so a killed submitter
+//!   can never strand capacity and wedge admission.
+//! - **Bulk pushes** ([`IngressQueue::push_reserved_many`],
 //!   [`IngressQueue::push_blocking_many`]) take the queue lock once per
-//!   batch instead of once per request — the amortization behind
-//!   [`Client::submit_many`](crate::Client::submit_many).
+//!   call and drain the caller's reusable `Vec`.
 //! - **Tenant lanes** (QoS mode) live *inside* the queue's mutex: staged,
 //!   not-yet-timestamped entries the combiner admits with weighted
 //!   round-robin. Sharing the mutex lets a lane push wake a combiner
@@ -68,6 +66,9 @@ struct QueueState {
     /// `entries.len() + reserved <= capacity` always holds.
     reserved: usize,
     closed: bool,
+    /// The consumer is parked in [`IngressQueue::drain`]; pushes signal
+    /// `not_empty` only then (an unwatched notify still costs a syscall).
+    drainer_waiting: bool,
     /// Tenant lanes (QoS mode only).
     lanes: Option<LaneSet>,
 }
@@ -101,9 +102,9 @@ pub(crate) struct LaneBulkReject {
 }
 
 /// RAII capacity grant on one [`IngressQueue`]. Fill it with
-/// [`push`](Reservation::push) / [`push_many`](Reservation::push_many);
-/// any slots still held when the guard drops — including an unwinding
-/// submitter — are released back to the queue.
+/// [`push`](Reservation::push); any slots still held when the guard
+/// drops — including an unwinding admitter — are released back to the
+/// queue.
 #[derive(Debug)]
 #[must_use = "dropping a Reservation immediately releases the reserved capacity"]
 pub(crate) struct Reservation<'q> {
@@ -112,36 +113,26 @@ pub(crate) struct Reservation<'q> {
 }
 
 impl Reservation<'_> {
-    /// Slots still held by this guard.
-    pub(crate) fn count(&self) -> usize {
-        self.count
-    }
-
     /// Fills one reserved slot. Fails only on a closed queue (the entry
     /// comes back; the slot is consumed either way — a closed queue has
     /// no capacity to return to). Returns the resulting depth.
     pub(crate) fn push(&mut self, entry: Entry) -> Result<usize, Entry> {
         debug_assert!(self.count >= 1, "push on an exhausted Reservation");
         self.count -= 1;
-        self.queue.fill_reserved(entry)
-    }
-
-    /// Fills `entries.len()` reserved slots under one lock acquisition.
-    /// On a closed queue the entries come back. Returns
-    /// `(pushed, resulting depth)`.
-    pub(crate) fn push_many(&mut self, entries: Vec<Entry>) -> Result<(usize, usize), Vec<Entry>> {
-        debug_assert!(
-            self.count >= entries.len(),
-            "push_many beyond the Reservation"
-        );
-        self.count -= entries.len();
-        self.queue.fill_reserved_many(entries)
+        let mut st = self.queue.state.lock().unwrap();
+        st.reserved -= 1;
+        if st.closed {
+            return Err(entry);
+        }
+        st.entries.push_back(entry);
+        self.queue.wake_drainer(&st);
+        Ok(st.entries.len())
     }
 }
 
 impl Drop for Reservation<'_> {
     fn drop(&mut self) {
-        self.queue.cancel_reservation(self.count);
+        self.queue.release_reserved(self.count);
     }
 }
 
@@ -180,6 +171,14 @@ impl IngressQueue {
         q
     }
 
+    /// Wakes the consumer if it is parked in [`drain`](Self::drain).
+    /// Callers hold the state lock, so no wakeup can be lost.
+    fn wake_drainer(&self, st: &QueueState) {
+        if st.drainer_waiting {
+            self.not_empty.notify_one();
+        }
+    }
+
     pub(crate) fn depth(&self) -> usize {
         self.state.lock().unwrap().entries.len()
     }
@@ -199,9 +198,12 @@ impl IngressQueue {
         })
     }
 
-    /// Reserves as many of `n` slots as currently fit; the guard's
-    /// `count` reports the grant (0 on a closed queue).
-    pub(crate) fn reserve_up_to(&self, n: usize) -> Reservation<'_> {
+    /// Reserves as many of `n` slots as currently fit and returns the
+    /// grant (0 on a closed queue). The caller owns it: it fills slots
+    /// with [`push_reserved_many`](Self::push_reserved_many) and must
+    /// hand the rest back with [`release_reserved`](Self::release_reserved),
+    /// also when it unwinds.
+    pub(crate) fn reserve_up_to(&self, n: usize) -> usize {
         let mut st = self.state.lock().unwrap();
         let grant = if st.closed {
             0
@@ -209,15 +211,11 @@ impl IngressQueue {
             st.room(self.capacity).min(n)
         };
         st.reserved += grant;
-        Reservation {
-            queue: self,
-            count: grant,
-        }
+        grant
     }
 
-    /// Returns `n` unfilled reservations (called by [`Reservation`]'s
-    /// destructor).
-    fn cancel_reservation(&self, n: usize) {
+    /// Returns `n` unfilled reserved slots to the queue.
+    pub(crate) fn release_reserved(&self, n: usize) {
         if n == 0 {
             return;
         }
@@ -227,109 +225,69 @@ impl IngressQueue {
         self.not_full.notify_all();
     }
 
-    fn fill_reserved(&self, entry: Entry) -> Result<usize, Entry> {
-        let mut st = self.state.lock().unwrap();
-        debug_assert!(st.reserved >= 1, "push_reserved without a reservation");
-        st.reserved -= 1;
-        if st.closed {
-            return Err(entry);
-        }
-        st.entries.push_back(entry);
-        self.not_empty.notify_one();
-        Ok(st.entries.len())
-    }
-
-    fn fill_reserved_many(&self, entries: Vec<Entry>) -> Result<(usize, usize), Vec<Entry>> {
+    /// Fills `entries.len()` reserved slots under one lock acquisition,
+    /// draining `entries`. On a closed queue the entries stay in
+    /// `entries` (their slots are consumed either way — a closed queue
+    /// has no capacity to return to). Returns `(pushed, resulting depth)`.
+    pub(crate) fn push_reserved_many(&self, entries: &mut Vec<Entry>) -> (usize, usize) {
         let n = entries.len();
         let mut st = self.state.lock().unwrap();
         debug_assert!(st.reserved >= n, "push_reserved_many without reservations");
         st.reserved -= n;
         if st.closed {
-            return Err(entries);
+            return (0, 0);
         }
-        st.entries.extend(entries);
-        self.not_empty.notify_one();
-        Ok((n, st.entries.len()))
+        st.entries.extend(entries.drain(..));
+        self.wake_drainer(&st);
+        (n, st.entries.len())
     }
 
-    /// Blocking push (block policy): waits for room. Returns the entry
-    /// only if the queue closed while waiting.
-    pub(crate) fn push_blocking(&self, entry: Entry) -> Result<usize, Entry> {
-        let mut st = self.state.lock().unwrap();
-        while !st.closed && st.room(self.capacity) == 0 {
-            st = self.not_full.wait(st).unwrap();
-        }
-        if st.closed {
-            return Err(entry);
-        }
-        st.entries.push_back(entry);
-        self.not_empty.notify_one();
-        Ok(st.entries.len())
-    }
-
-    /// Blocking bulk push: takes the lock once and pushes every entry,
-    /// waiting on the consumer whenever the queue is full. If the queue
-    /// closes mid-way the unpushed tail comes back. Returns
-    /// `(pushed, high-water depth)`.
-    pub(crate) fn push_blocking_many(
-        &self,
-        entries: Vec<Entry>,
-    ) -> Result<(usize, usize), (usize, usize, Vec<Entry>)> {
+    /// Blocking bulk push (block policy): takes the lock once and drains
+    /// `entries` into the queue, waiting on the consumer whenever the
+    /// queue is full. If the queue closes mid-way the unpushed tail stays
+    /// in `entries`. Returns `(pushed, high-water depth)`.
+    pub(crate) fn push_blocking_many(&self, entries: &mut Vec<Entry>) -> (usize, usize) {
         let mut st = self.state.lock().unwrap();
         let (mut pushed, mut high) = (0usize, 0usize);
-        let mut it = entries.into_iter();
-        for entry in it.by_ref() {
+        while !entries.is_empty() {
             while !st.closed && st.room(self.capacity) == 0 {
-                self.not_empty.notify_one();
+                self.wake_drainer(&st);
                 st = self.not_full.wait(st).unwrap();
             }
             if st.closed {
-                let mut rest = vec![entry];
-                rest.extend(it);
-                return Err((pushed, high, rest));
+                break;
             }
-            st.entries.push_back(entry);
-            pushed += 1;
+            let n = st.room(self.capacity).min(entries.len());
+            st.entries.extend(entries.drain(..n));
+            pushed += n;
             high = high.max(st.entries.len());
         }
-        self.not_empty.notify_one();
-        Ok((pushed, high))
+        self.wake_drainer(&st);
+        (pushed, high)
     }
 
-    /// Stages one entry on `tenant`'s lane (QoS mode). Returns the lane
-    /// depth, or the refused entry with its cause.
-    pub(crate) fn push_lane(&self, tenant: TenantId, entry: Entry) -> Result<usize, LaneReject> {
-        let mut st = self.state.lock().unwrap();
-        let lanes = st.lanes.as_mut().expect("push_lane without lanes");
-        let res = lanes.push(tenant, entry);
-        if res.is_ok() {
-            self.not_empty.notify_one();
-        }
-        res
-    }
-
-    /// Bulk lane staging under one lock. Returns the accepted count and
-    /// the refused entries partitioned by cause.
+    /// Bulk lane staging (QoS mode) under one lock, draining `entries`.
+    /// Returns the refused entries partitioned by cause.
     pub(crate) fn push_lane_many(
         &self,
         tenant: TenantId,
-        entries: Vec<Entry>,
-    ) -> (usize, LaneBulkReject) {
+        entries: &mut Vec<Entry>,
+    ) -> LaneBulkReject {
         let mut st = self.state.lock().unwrap();
         let lanes = st.lanes.as_mut().expect("push_lane_many without lanes");
-        let mut accepted = 0usize;
+        let mut accepted = false;
         let mut reject = LaneBulkReject::default();
-        for entry in entries {
+        for entry in entries.drain(..) {
             match lanes.push(tenant, entry) {
-                Ok(_) => accepted += 1,
+                Ok(_) => accepted = true,
                 Err(LaneReject::OverQuota(e)) => reject.over_quota.push(e),
                 Err(LaneReject::Closed(e)) => reject.closed.push(e),
             }
         }
-        if accepted > 0 {
-            self.not_empty.notify_one();
+        if accepted {
+            self.wake_drainer(&st);
         }
-        (accepted, reject)
+        reject
     }
 
     /// WRR-drains up to `budget` staged lane entries for admission. A
@@ -398,6 +356,7 @@ impl IngressQueue {
         let mut st = self.state.lock().unwrap();
         let idle = |st: &QueueState| st.entries.is_empty() && st.lane_pending() == 0 && !st.closed;
         if idle(&st) {
+            st.drainer_waiting = true;
             match wait {
                 None => {
                     while idle(&st) {
@@ -421,6 +380,7 @@ impl IngressQueue {
                 }
                 Some(_) => {}
             }
+            st.drainer_waiting = false;
         }
         let n = st.entries.len().min(max);
         let entries: Vec<Entry> = st.entries.drain(..n).collect();
@@ -450,18 +410,17 @@ impl IngressQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ticket::Ticket;
+    use crate::ticket::TicketBatch;
     use eirene_workloads::Request;
     use std::sync::Arc;
 
     fn entry(ts: u64) -> Entry {
-        let (_t, cell) = Ticket::new();
         Entry {
             req: Request::query(1, ts),
             deadline: None,
             arrival: 0,
             tenant: 0,
-            completion: Completion::Direct(cell),
+            completion: Completion::Direct(TicketBatch::new(1).cell_ref(0)),
         }
     }
 
@@ -493,8 +452,7 @@ mod tests {
         let r = q.try_reserve(2).unwrap();
         assert!(q.try_reserve(1).is_none());
         drop(r);
-        let r = q.try_reserve(2).unwrap();
-        assert_eq!(r.count(), 2);
+        assert!(q.try_reserve(2).is_some());
     }
 
     #[test]
@@ -520,26 +478,23 @@ mod tests {
         {
             let mut r = q.try_reserve(3).unwrap();
             r.push(entry(0)).unwrap();
-            assert_eq!(r.count(), 2);
             // Two unfilled slots release here.
         }
-        assert_eq!(q.reserve_up_to(9).count(), 3);
+        assert_eq!(q.reserve_up_to(9), 3);
     }
 
     #[test]
     fn reserve_up_to_grants_partial_room() {
         let q = IngressQueue::new(4);
         let r3 = q.try_reserve(3).unwrap();
-        let r1 = q.reserve_up_to(5);
-        assert_eq!(r1.count(), 1);
-        assert_eq!(q.reserve_up_to(5).count(), 0);
+        assert_eq!(q.reserve_up_to(5), 1);
+        assert_eq!(q.reserve_up_to(5), 0);
         drop(r3);
-        drop(r1);
-        let r = q.reserve_up_to(2);
-        assert_eq!(r.count(), 2);
-        drop(r);
-        assert_eq!(q.push_blocking(entry(9)).unwrap(), 1);
-        assert_eq!(q.reserve_up_to(9).count(), 3);
+        q.release_reserved(1);
+        assert_eq!(q.reserve_up_to(2), 2);
+        q.release_reserved(2);
+        assert_eq!(q.push_blocking_many(&mut vec![entry(9)]), (1, 1));
+        assert_eq!(q.reserve_up_to(9), 3);
     }
 
     #[test]
@@ -563,10 +518,45 @@ mod tests {
     #[test]
     fn bulk_reserved_push_fills_in_one_shot() {
         let q = IngressQueue::new(8);
-        let mut r = q.try_reserve(3).unwrap();
-        let (pushed, depth) = r.push_many(vec![entry(0), entry(1), entry(2)]).unwrap();
-        assert_eq!((pushed, depth), (3, 3));
+        assert_eq!(q.reserve_up_to(3), 3);
+        let mut entries = vec![entry(0), entry(1), entry(2)];
+        assert_eq!(q.push_reserved_many(&mut entries), (3, 3));
+        assert!(entries.is_empty(), "pushed entries are drained");
+        // Every reserved slot was filled: exactly the rest is free.
+        assert_eq!(q.reserve_up_to(9), 5);
         assert_eq!(drain_ts(&q, 8), [0, 1, 2]);
+    }
+
+    #[test]
+    fn reserved_push_wakes_a_blocked_drainer() {
+        let q = Arc::new(IngressQueue::new(4));
+        let q2 = q.clone();
+        // The drainer parks with a long bound: only the push's wakeup can
+        // return it early.
+        let drainer = std::thread::spawn(move || {
+            let start = Instant::now();
+            (q2.drain(8, Some(Duration::from_secs(30))), start.elapsed())
+        });
+        std::thread::sleep(Duration::from_millis(20));
+        assert_eq!(q.reserve_up_to(1), 1);
+        q.push_reserved_many(&mut vec![entry(5)]);
+        let (d, waited) = drainer.join().unwrap();
+        assert!(
+            waited < Duration::from_secs(10),
+            "push did not wake the drainer"
+        );
+        assert_eq!(d.entries.iter().map(|e| e.req.ts).collect::<Vec<_>>(), [5]);
+    }
+
+    #[test]
+    fn reserved_push_to_a_closed_queue_keeps_the_entries() {
+        let q = IngressQueue::new(4);
+        assert_eq!(q.reserve_up_to(2), 2);
+        q.close();
+        let mut entries = vec![entry(0), entry(1)];
+        assert_eq!(q.push_reserved_many(&mut entries), (0, 0));
+        assert_eq!(entries.len(), 2, "refused entries come back");
+        assert!(q.drain(8, Some(Duration::ZERO)).finished);
     }
 
     #[test]
@@ -587,12 +577,12 @@ mod tests {
     #[test]
     fn blocked_pusher_wakes_on_drain() {
         let q = Arc::new(IngressQueue::new(1));
-        q.push_blocking(entry(0)).unwrap();
+        assert_eq!(q.push_blocking_many(&mut vec![entry(0)]), (1, 1));
         let q2 = q.clone();
-        let pusher = std::thread::spawn(move || q2.push_blocking(entry(1)).is_ok());
+        let pusher = std::thread::spawn(move || q2.push_blocking_many(&mut vec![entry(1)]));
         std::thread::sleep(Duration::from_millis(20));
         assert_eq!(q.drain(1, None).entries.len(), 1);
-        assert!(pusher.join().unwrap());
+        assert_eq!(pusher.join().unwrap(), (1, 1));
         assert_eq!(q.depth(), 1);
     }
 
@@ -600,12 +590,13 @@ mod tests {
     fn blocking_bulk_push_streams_through_a_tiny_queue() {
         let q = Arc::new(IngressQueue::new(2));
         let q2 = q.clone();
-        let pusher = std::thread::spawn(move || q2.push_blocking_many((0..7).map(entry).collect()));
+        let pusher =
+            std::thread::spawn(move || q2.push_blocking_many(&mut (0..7).map(entry).collect()));
         let mut got = Vec::new();
         while got.len() < 7 {
             got.extend(q.drain(16, None).entries.into_iter().map(|e| e.req.ts));
         }
-        let (pushed, high) = pusher.join().unwrap().unwrap();
+        let (pushed, high) = pusher.join().unwrap();
         assert_eq!(pushed, 7);
         assert!(high <= 2);
         assert_eq!(got, (0..7).collect::<Vec<u64>>());
@@ -614,14 +605,22 @@ mod tests {
     #[test]
     fn close_fails_pending_and_future_pushes() {
         let q = Arc::new(IngressQueue::new(1));
-        q.push_blocking(entry(0)).unwrap();
+        q.push_blocking_many(&mut vec![entry(0)]);
         let q2 = q.clone();
-        let pusher = std::thread::spawn(move || q2.push_blocking(entry(1)).is_err());
+        let pusher = std::thread::spawn(move || {
+            let mut pending = vec![entry(1)];
+            let (pushed, _) = q2.push_blocking_many(&mut pending);
+            (pushed, pending.len())
+        });
         std::thread::sleep(Duration::from_millis(20));
         q.close();
-        assert!(pusher.join().unwrap(), "blocked pusher must fail on close");
+        assert_eq!(
+            pusher.join().unwrap(),
+            (0, 1),
+            "blocked pusher must fail on close and keep its entry"
+        );
         assert!(q.try_reserve(1).is_none());
-        assert_eq!(q.reserve_up_to(1).count(), 0);
+        assert_eq!(q.reserve_up_to(1), 0);
         // The already-queued entry still drains, then the queue reports
         // finished.
         let d = q.drain(8, Some(Duration::ZERO));
@@ -633,12 +632,16 @@ mod tests {
     fn bulk_blocking_push_returns_tail_on_close() {
         let q = Arc::new(IngressQueue::new(2));
         let q2 = q.clone();
-        let pusher = std::thread::spawn(move || q2.push_blocking_many((0..5).map(entry).collect()));
+        let pusher = std::thread::spawn(move || {
+            let mut entries: Vec<Entry> = (0..5).map(entry).collect();
+            let (pushed, _high) = q2.push_blocking_many(&mut entries);
+            (pushed, entries.len())
+        });
         std::thread::sleep(Duration::from_millis(20));
         q.close();
-        let (pushed, _high, rest) = pusher.join().unwrap().unwrap_err();
+        let (pushed, rest) = pusher.join().unwrap();
         assert_eq!(pushed, 2);
-        assert_eq!(rest.len(), 3);
+        assert_eq!(rest, 3);
         assert_eq!(q.drain(8, Some(Duration::ZERO)).entries.len(), 2);
     }
 
@@ -649,7 +652,8 @@ mod tests {
         let q2 = q.clone();
         let drainer = std::thread::spawn(move || q2.drain(8, None));
         std::thread::sleep(Duration::from_millis(20));
-        q.push_lane(1, entry(u64::MAX)).unwrap();
+        let reject = q.push_lane_many(1, &mut vec![entry(u64::MAX)]);
+        assert!(reject.over_quota.is_empty() && reject.closed.is_empty());
         // The drainer wakes (lane pending breaks the idle predicate) with
         // no direct entries; the combiner then admits from the lanes.
         let d = drainer.join().unwrap();
@@ -664,12 +668,11 @@ mod tests {
     fn lane_quiesce_tracks_drain_in_progress() {
         let qos = QosConfig::uniform(1, 4);
         let q = IngressQueue::with_lanes(8, &qos);
-        q.push_lane(0, entry(u64::MAX)).unwrap();
+        let reject = q.push_lane_many(0, &mut vec![entry(u64::MAX)]);
+        assert!(reject.over_quota.is_empty() && reject.closed.is_empty());
         q.close_lanes();
-        assert!(matches!(
-            q.push_lane(0, entry(u64::MAX)),
-            Err(LaneReject::Closed(_))
-        ));
+        let reject = q.push_lane_many(0, &mut vec![entry(u64::MAX)]);
+        assert_eq!(reject.closed.len(), 1);
         assert!(!q.lanes_quiesced());
         let batch = q.drain_lanes(8);
         assert_eq!(batch.len(), 1);
@@ -686,13 +689,15 @@ mod tests {
     fn bulk_lane_push_partitions_rejects() {
         let qos = QosConfig::uniform(1, 2);
         let q = IngressQueue::with_lanes(8, &qos);
-        let (accepted, rej) = q.push_lane_many(0, (0..4).map(entry).collect());
-        assert_eq!(accepted, 2);
+        let mut entries: Vec<Entry> = (0..4).map(entry).collect();
+        let rej = q.push_lane_many(0, &mut entries);
+        assert!(entries.is_empty());
         assert_eq!(rej.over_quota.len(), 2);
         assert!(rej.closed.is_empty());
+        assert_eq!(q.lane_pending(), 2);
         q.close();
-        let (accepted, rej) = q.push_lane_many(0, (0..2).map(entry).collect());
-        assert_eq!(accepted, 0);
+        let rej = q.push_lane_many(0, &mut (0..2).map(entry).collect());
+        assert!(rej.over_quota.is_empty());
         assert_eq!(rej.closed.len(), 2);
     }
 }

@@ -31,7 +31,9 @@
 //! only happens after the request is fully enqueued. ∎
 //!
 //! A combiner therefore drains its queue into the heap and emits an epoch
-//! only from entries with `ts < watermark`, in ascending order. Epochs
+//! only from entries with `ts < watermark`, in ascending order, where the
+//! watermark is the one it read just before its latest full drain (a
+//! fresher one may cover entries still in the queue). Epochs
 //! carry strictly ascending timestamp slices and successive epochs are
 //! mutually ordered, so each shard still executes its slice of the
 //! history in global timestamp order and the whole service linearizes at
@@ -43,9 +45,11 @@
 //! slot clears, so no combiner can close an epoch between two parts of
 //! one range.
 //!
-//! [`ServeConfig::admission`] can reinstate a global admission lock
-//! ([`AdmissionMode::GlobalLock`]) — the ingress benchmark's baseline,
-//! not a recommended mode.
+//! Every client submission takes one admission path, `Inner::submit_many`
+//! (a single [`Client::submit`] is a batch of one): route, reserve under
+//! [`AdmitPolicy::Shed`], one in-flight slot, one `fetch_add`, one bulk
+//! push per shard. With QoS lanes it stages the ops, untimestamped, for
+//! the combiner to admit (`admit_lanes`).
 //!
 //! # Pipelining
 //!
@@ -57,7 +61,7 @@
 //! model at service scope.
 
 use crate::control::{BatchController, EpochFeedback, EpochSizing};
-use crate::lane::{LaneReject, QosConfig, TenantId};
+use crate::lane::{QosConfig, TenantId};
 use crate::observe::{
     LatencySummary, ObserveConfig, ServiceObserver, ShardMetrics, ShardSample, SloBreach,
     SloMonitor,
@@ -69,7 +73,7 @@ use crate::rebalance::{
 };
 use crate::report::{ServeReport, ShardReport};
 use crate::shard::{hash_shard, RangePart, ShardId, ShardMap, Sharding};
-use crate::ticket::{CellRef, Completion, Outcome, RangeMerge, Ticket, TicketBatch};
+use crate::ticket::{Completion, Outcome, RangeMerge, Ticket, TicketBatch};
 use eirene_baselines::common::ConcurrentTree;
 use eirene_core::plan::{build_plan, CombinePlan};
 use eirene_core::{EireneOptions, EireneTree};
@@ -79,11 +83,12 @@ use eirene_sim::{
 };
 use eirene_telemetry::{LifecycleSpan, SpanRing};
 use eirene_workloads::{Batch, Key, OpKind, Request, Response};
+use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, Sender, SyncSender};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock};
+use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -98,35 +103,16 @@ pub(crate) const SENTINEL_KEY: u64 = u64::MAX - 1;
 /// `ingress` telemetry phase (route lookup, timestamp fetch, queue push).
 const INGRESS_CONTROL_PER_REQUEST: u64 = 8;
 
-/// How clients draw timestamps and enqueue.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum AdmissionMode {
-    /// Lock-free: a bare atomic timestamp counter plus the in-flight
-    /// watermark protocol (see the module docs). The default.
-    #[default]
-    LockFree,
-    /// Every submission serializes behind one global mutex — the pre-
-    /// reorder design, kept as the measurable baseline for
-    /// `eirene-bench perf`'s ingress scenario.
-    GlobalLock,
-}
-
 /// Test-only fault injection for the admission path. `Default` injects
 /// nothing; benchmarks never set this.
 #[derive(Clone, Debug, Default)]
 pub struct FaultPlan {
-    /// Panic inside the Nth (0-based) shed-mode single admission, *after*
-    /// the capacity reservation and *before* the enqueue — the window
-    /// where a killed submitter used to leak the reservation and wedge
-    /// admission at capacity forever. `eirene-check` uses this to prove
-    /// the RAII reservation guard releases on unwind.
+    /// Panic inside the Nth (0-based) shed-mode admission call, of any
+    /// size, *after* the capacity reservation and *before* the enqueue —
+    /// the window where a killed submitter used to leak the reservation
+    /// and wedge admission at capacity forever. `eirene-check` uses this
+    /// to prove the reservations are released on unwind.
     pub panic_on_admit: Option<u64>,
-}
-
-impl FaultPlan {
-    pub fn is_armed(&self) -> bool {
-        self.panic_on_admit.is_some()
-    }
 }
 
 /// Configuration of a [`Service`].
@@ -160,8 +146,6 @@ pub struct ServeConfig {
     pub queue_depth: usize,
     /// What admission does when a shard's queue is full.
     pub policy: AdmitPolicy,
-    /// Lock-free (default) or global-lock-baseline admission.
-    pub admission: AdmissionMode,
     /// How long a combiner waits for an epoch to fill toward the batch
     /// target once it has at least one request.
     pub linger: Duration,
@@ -194,7 +178,6 @@ impl Default for ServeConfig {
             fault: FaultPlan::default(),
             queue_depth: 1 << 16,
             policy: AdmitPolicy::Block,
-            admission: AdmissionMode::LockFree,
             linger: Duration::from_millis(1),
             hold_gate: false,
             headroom_nodes: 1 << 14,
@@ -351,18 +334,13 @@ struct Inner {
     shards: Vec<Arc<ShardState>>,
     next_ts: AtomicU64,
     inflight: Inflight,
-    /// Taken for the whole admission path in
-    /// [`AdmissionMode::GlobalLock`] only; the lock-free mode never
-    /// touches it.
-    baseline_lock: Mutex<()>,
     /// `true` while the epoch gate is held (combiners blocked).
     gate: Mutex<bool>,
     gate_cv: Condvar,
     policy: AdmitPolicy,
-    admission: AdmissionMode,
     qos: QosConfig,
     fault: FaultPlan,
-    /// Counts shed-mode single admissions, solely to locate the one the
+    /// Counts shed-mode admission calls, solely to locate the one the
     /// [`FaultPlan`] kills. Untouched (and unread) when no fault is armed.
     admit_seq: AtomicU64,
 }
@@ -378,13 +356,6 @@ impl Inner {
     fn release_gate(&self) {
         *self.gate.lock().unwrap() = false;
         self.gate_cv.notify_all();
-    }
-
-    fn serialize_admission(&self) -> Option<MutexGuard<'_, ()>> {
-        match self.admission {
-            AdmissionMode::LockFree => None,
-            AdmissionMode::GlobalLock => Some(self.baseline_lock.lock().unwrap()),
-        }
     }
 
     /// The reorder low watermark: every request with a timestamp below it
@@ -445,7 +416,7 @@ impl Inner {
 
     /// Trips the armed admission fault, if any (tests only): dies between
     /// the capacity reservation and the enqueue, the exact window the
-    /// RAII reservation guard exists to cover.
+    /// [`Admission`] guard's release exists to cover.
     fn maybe_trip_fault(&self) {
         if let Some(n) = self.fault.panic_on_admit {
             if self.admit_seq.fetch_add(1, Ordering::Relaxed) == n {
@@ -454,204 +425,152 @@ impl Inner {
         }
     }
 
-    /// Admits one entry to `shard` under the configured policy, updating
-    /// the admission counters. Shed-vs-admit is race-free: capacity is
-    /// claimed with an atomic reservation before the push, and the
-    /// reservation guard releases on any exit — including an unwinding
-    /// submitter.
-    fn admit_single(&self, shard: ShardId, entry: Entry) {
-        let state = &self.shards[shard];
-        match self.policy {
-            AdmitPolicy::Shed => match state.queue.try_reserve(1) {
-                Some(mut grant) => {
-                    self.maybe_trip_fault();
-                    match grant.push(entry) {
-                        Ok(depth) => state.record_enqueue(1, depth),
-                        Err(e) => e.completion.resolve_fail(Outcome::Rejected),
-                    }
-                }
-                None => {
-                    state.record_shed(1, entry.tenant);
-                    entry.completion.resolve_fail(Outcome::Rejected);
-                }
-            },
-            AdmitPolicy::Block => match state.queue.push_blocking(entry) {
-                Ok(depth) => state.record_enqueue(1, depth),
-                Err(e) => e.completion.resolve_fail(Outcome::Rejected),
-            },
-        }
-    }
-
-    /// Admits a split range: all parts or none. Under [`AdmitPolicy::Shed`]
-    /// one slot is reserved per involved queue before any push (parts lie
-    /// on distinct shards); on the first full shard the earlier grants
-    /// drop (releasing their slots), that shard's shed counter bumps, and
-    /// the whole range resolves `Rejected`.
-    #[allow(clippy::too_many_arguments)]
-    fn admit_split(
+    /// The one admission path for every submission; a single submit is a
+    /// batch of one. Routes every op, reserves queue room per shard under
+    /// [`AdmitPolicy::Shed`], claims the whole timestamp range with ONE
+    /// `fetch_add`, allocates every ticket cell in ONE shared block
+    /// ([`TicketBatch`]), and enqueues per shard in bulk (one queue-lock
+    /// acquisition per shard instead of one per request). Request `i`
+    /// gets timestamp `base + i`, so a caller's batch linearizes in its
+    /// own order. Under QoS the ops are staged on lanes instead
+    /// ([`stage_lanes`](Self::stage_lanes)).
+    fn submit_many(
         &self,
-        parts: &[RangePart],
-        len: u32,
-        ts: u64,
+        ops: impl ExactSizeIterator<Item = (Key, OpKind, u64)> + Clone,
         deadline: Option<Instant>,
-        arrival: u64,
         tenant: TenantId,
-        cell: CellRef,
-    ) {
-        let mut grants = Vec::with_capacity(parts.len());
-        if self.policy == AdmitPolicy::Shed {
-            for p in parts {
-                match self.shards[p.shard].queue.try_reserve(1) {
-                    Some(g) => grants.push(g),
-                    None => {
-                        // Dropping `grants` releases the earlier slots.
-                        self.shards[p.shard].record_shed(1, tenant);
-                        cell.resolve(Outcome::Rejected);
-                        return;
-                    }
-                }
-            }
+    ) -> TicketBatch {
+        let n = ops.len();
+        let batch = TicketBatch::new(n);
+        if n == 0 {
+            return batch;
         }
-        let merge = Arc::new(RangeMerge::new(len as usize, parts.len(), cell));
-        let mut grants = grants.into_iter();
-        for p in parts {
-            let entry = Entry {
-                req: Request::range(p.lo, p.len, ts),
-                deadline,
-                arrival,
-                tenant,
-                completion: Completion::Part {
-                    merge: merge.clone(),
-                    offset: p.offset,
-                },
-            };
-            let state = &self.shards[p.shard];
-            let pushed = match self.policy {
-                AdmitPolicy::Shed => grants.next().expect("one grant per part").push(entry),
-                AdmitPolicy::Block => state.queue.push_blocking(entry),
-            };
-            match pushed {
-                Ok(depth) => state.record_enqueue(1, depth),
-                Err(e) => e.completion.resolve_fail(Outcome::Rejected),
-            }
-        }
-    }
-
-    fn submit(
-        &self,
-        key: Key,
-        op: OpKind,
-        deadline: Option<Instant>,
-        arrival: u64,
-        tenant: TenantId,
-    ) -> Ticket {
-        let (ticket, cell) = Ticket::new();
-        let _serial = self.serialize_admission();
-        // Hold the topology read lock across route + enqueue: a boundary
-        // cannot move between routing this request and booking it on the
-        // routed shard.
+        // Hold the topology read lock from routing until every entry is
+        // enqueued: a boundary cannot move between routing a request and
+        // booking it on the routed shard.
         let topo = self.topology.read().unwrap();
+        let mut adm = Admission::new(&self.shards);
         if self.qos.enabled() {
-            self.submit_lane(&topo, key, op, deadline, arrival, tenant, cell);
-            return ticket;
+            self.stage_lanes(&topo, ops, deadline, tenant, &batch, &mut adm.s.buckets);
+            return batch;
         }
-        match self.route(&topo, key, op) {
-            Route::Empty => cell.resolve(Outcome::Done(Response::Range(Vec::new()))),
-            Route::One(shard) => {
-                // Hot path: no intermediate Vec, one slot claim, one
-                // fetch_add, one queue push.
-                let lb = self.next_ts.load(Ordering::SeqCst);
-                let _slot = self.inflight.claim(lb);
-                let ts = self.next_ts.fetch_add(1, Ordering::SeqCst);
-                cell.set_ts(ts);
-                let entry = Entry {
-                    req: Request { key, op, ts },
-                    deadline,
-                    arrival,
-                    tenant,
-                    completion: Completion::Direct(cell),
-                };
-                self.admit_single(shard, entry);
+        let shed = self.policy == AdmitPolicy::Shed;
+        if shed {
+            // Count each shard's demand, then reserve as much of it as
+            // fits, one reservation per shard. Requests whose shard ran
+            // out are shed below, split ranges all-or-nothing.
+            for (key, op, _) in ops.clone() {
+                match self.route(&topo, key, op) {
+                    Route::Empty => {}
+                    Route::One(shard) => adm.s.granted[shard] += 1,
+                    Route::Split(parts) => {
+                        for p in parts {
+                            adm.s.granted[p.shard] += 1;
+                        }
+                    }
+                }
             }
-            Route::Split(parts) => {
-                let len = match op {
-                    OpKind::Range { len } => len,
-                    _ => unreachable!("only ranges split"),
-                };
-                let lb = self.next_ts.load(Ordering::SeqCst);
-                let _slot = self.inflight.claim(lb);
-                let ts = self.next_ts.fetch_add(1, Ordering::SeqCst);
-                cell.set_ts(ts);
-                self.admit_split(&parts, len, ts, deadline, arrival, tenant, cell);
+            for (state, want) in self.shards.iter().zip(&mut adm.s.granted) {
+                if *want > 0 {
+                    *want = state.queue.reserve_up_to(*want);
+                }
             }
         }
-        ticket
-    }
 
-    /// QoS-lane path: the request parks — *untimestamped* — on its home
-    /// shard's lane for the submitting tenant; the shard's combiner draws
-    /// the timestamp at admission ([`admit_lanes`]). A split range's home
-    /// is its first part's shard: the combiner re-routes and fans the
-    /// parts out when it admits the entry.
-    #[allow(clippy::too_many_arguments)]
-    fn submit_lane(
-        &self,
-        map: &ShardMap,
-        key: Key,
-        op: OpKind,
-        deadline: Option<Instant>,
-        arrival: u64,
-        tenant: TenantId,
-        cell: CellRef,
-    ) {
-        let home = match self.route(map, key, op) {
-            Route::Empty => {
-                cell.resolve(Outcome::Done(Response::Range(Vec::new())));
-                return;
+        let lb = self.next_ts.load(Ordering::SeqCst);
+        let _slot = self.inflight.claim(lb);
+        let base = self.next_ts.fetch_add(n as u64, Ordering::SeqCst);
+        for (i, (key, op, arrival)) in ops.enumerate() {
+            let cell = batch.cell_ref(i);
+            let ts = base + i as u64;
+            match self.route(&topo, key, op) {
+                Route::Empty => cell.resolve(Outcome::Done(Response::Range(Vec::new()))),
+                Route::One(shard) => {
+                    if shed && !adm.has_room(shard) {
+                        self.shards[shard].record_shed(1, tenant);
+                        cell.resolve(Outcome::Rejected);
+                        continue;
+                    }
+                    cell.set_ts(ts);
+                    adm.s.buckets[shard].push(Entry {
+                        req: Request { key, op, ts },
+                        deadline,
+                        arrival,
+                        tenant,
+                        completion: Completion::Direct(cell),
+                    });
+                }
+                Route::Split(parts) => {
+                    let len = match op {
+                        OpKind::Range { len } => len,
+                        _ => unreachable!("only ranges split"),
+                    };
+                    // Parts lie on distinct shards, so each needs one
+                    // slot of its own shard's grant.
+                    if let Some(full) = parts.iter().find(|p| shed && !adm.has_room(p.shard)) {
+                        self.shards[full.shard].record_shed(1, tenant);
+                        cell.resolve(Outcome::Rejected);
+                        continue;
+                    }
+                    cell.set_ts(ts);
+                    let merge = Arc::new(RangeMerge::new(len as usize, parts.len(), cell));
+                    for p in &parts {
+                        adm.s.buckets[p.shard].push(Entry {
+                            req: Request::range(p.lo, p.len, ts),
+                            deadline,
+                            arrival,
+                            tenant,
+                            completion: Completion::Part {
+                                merge: merge.clone(),
+                                offset: p.offset,
+                            },
+                        });
+                    }
+                }
             }
-            Route::One(shard) => shard,
-            Route::Split(parts) => parts[0].shard,
-        };
-        let entry = Entry {
-            req: Request {
-                key,
-                op,
-                ts: u64::MAX,
-            },
-            deadline,
-            arrival,
-            tenant,
-            completion: Completion::Direct(cell),
-        };
-        let state = &self.shards[home];
-        match state.queue.push_lane(tenant, entry) {
-            Ok(_) => {}
-            Err(LaneReject::OverQuota(e)) => {
-                state.record_shed(1, tenant);
+        }
+
+        if shed {
+            self.maybe_trip_fault();
+        }
+        for (shard, bucket) in adm.s.buckets.iter_mut().enumerate() {
+            if bucket.is_empty() {
+                continue;
+            }
+            let state = &self.shards[shard];
+            let (pushed, high) = if shed {
+                adm.s.granted[shard] -= bucket.len();
+                state.queue.push_reserved_many(bucket)
+            } else {
+                state.queue.push_blocking_many(bucket)
+            };
+            state.record_enqueue(pushed as u64, high);
+            // Whatever is left met a closed queue.
+            for e in bucket.drain(..) {
                 e.completion.resolve_fail(Outcome::Rejected);
             }
-            Err(LaneReject::Closed(e)) => e.completion.resolve_fail(Outcome::Rejected),
         }
+        batch
     }
 
-    /// Bulk lane staging: routes every op to its home shard and pushes
-    /// each shard's slice under one lane lock. Quota sheds resolve
-    /// `Rejected` individually; the rest await combiner admission.
-    fn submit_many_lanes(
+    /// QoS-lane staging: each op parks — *untimestamped* — on its home
+    /// shard's lane for the submitting tenant, one bulk lane push per
+    /// shard; the shard's combiner draws the timestamp at admission
+    /// ([`admit_lanes`]). A split range's home is its first part's shard:
+    /// the combiner re-routes and fans the parts out when it admits the
+    /// entry. Quota sheds resolve `Rejected` individually.
+    fn stage_lanes(
         &self,
-        n: usize,
+        map: &ShardMap,
         ops: impl Iterator<Item = (Key, OpKind, u64)>,
         deadline: Option<Instant>,
         tenant: TenantId,
-    ) -> Vec<Ticket> {
-        let num_shards = self.shards.len();
-        let batch = TicketBatch::new(n);
-        let mut buckets: Vec<Vec<Entry>> = (0..num_shards).map(|_| Vec::new()).collect();
-        let _serial = self.serialize_admission();
-        let topo = self.topology.read().unwrap();
+        batch: &TicketBatch,
+        buckets: &mut [Vec<Entry>],
+    ) {
         for (i, (key, op, arrival)) in ops.enumerate() {
             let cell = batch.cell_ref(i);
-            let home = match self.route(&topo, key, op) {
+            let home = match self.route(map, key, op) {
                 Route::Empty => {
                     cell.resolve(Outcome::Done(Response::Range(Vec::new())));
                     continue;
@@ -671,12 +590,12 @@ impl Inner {
                 completion: Completion::Direct(cell),
             });
         }
-        for (shard, bucket) in buckets.into_iter().enumerate() {
+        for (shard, bucket) in buckets.iter_mut().enumerate() {
             if bucket.is_empty() {
                 continue;
             }
             let state = &self.shards[shard];
-            let (_, reject) = state.queue.push_lane_many(tenant, bucket);
+            let reject = state.queue.push_lane_many(tenant, bucket);
             if !reject.over_quota.is_empty() {
                 state.record_shed(reject.over_quota.len() as u64, tenant);
             }
@@ -684,197 +603,67 @@ impl Inner {
                 e.completion.resolve_fail(Outcome::Rejected);
             }
         }
-        (0..n).map(|i| batch.ticket(i)).collect()
+    }
+}
+
+/// Per-thread admission scratch, reused by every call on the thread so
+/// that admission allocates nothing beyond the call's [`TicketBatch`].
+#[derive(Default)]
+struct Scratch {
+    /// Entries bound for each shard, pushed in bulk at the end of a call.
+    buckets: Vec<Vec<Entry>>,
+    /// Shed policy: slots reserved on each shard's queue and not yet
+    /// filled (always 0 under Block).
+    granted: Vec<usize>,
+}
+
+/// Bucket capacity, in entries, a thread keeps between calls; a larger
+/// call's buckets shrink back to it.
+const SCRATCH_RETAIN: usize = 4096;
+
+thread_local! {
+    static SCRATCH: Cell<Scratch> = const {
+        Cell::new(Scratch {
+            buckets: Vec::new(),
+            granted: Vec::new(),
+        })
+    };
+}
+
+/// One admission call's checked-out [`Scratch`], one slot per shard.
+/// Dropping it — on return or while a submitter unwinds — releases every
+/// reservation still unfilled, empties the buckets and returns the
+/// storage to the thread.
+struct Admission<'a> {
+    shards: &'a [Arc<ShardState>],
+    s: Scratch,
+}
+
+impl<'a> Admission<'a> {
+    fn new(shards: &'a [Arc<ShardState>]) -> Self {
+        let mut s = SCRATCH.take();
+        s.buckets.resize_with(shards.len(), Vec::new);
+        s.granted.resize(shards.len(), 0);
+        Admission { shards, s }
     }
 
-    /// Batched admission: routes every op, claims the whole timestamp
-    /// range with ONE `fetch_add`, allocates every ticket cell in ONE
-    /// shared block ([`TicketBatch`]), and enqueues per shard in bulk
-    /// (one queue-lock acquisition per shard instead of one per request).
-    /// Request `i` gets timestamp `base + i`, so a single caller's batch
-    /// linearizes in its own order. `ops` must yield exactly `n` items.
-    fn submit_many(
-        &self,
-        n: usize,
-        ops: impl Iterator<Item = (Key, OpKind, u64)>,
-        deadline: Option<Instant>,
-        tenant: TenantId,
-    ) -> Vec<Ticket> {
-        if n == 0 {
-            return Vec::new();
-        }
-        if self.qos.enabled() {
-            return self.submit_many_lanes(n, ops, deadline, tenant);
-        }
-        let num_shards = self.shards.len();
-        let batch = TicketBatch::new(n);
-        let mut tickets = Vec::with_capacity(n);
-        // Sized for a roughly uniform spread plus slack; a skewed batch
-        // costs at most one regrowth per shard.
-        let bucket_cap = n / num_shards + n / 8 + 4;
-        let mut buckets: Vec<Vec<Entry>> = (0..num_shards)
-            .map(|_| Vec::with_capacity(bucket_cap))
-            .collect();
-        // Shed mode: one RAII capacity grant per shard; `avail` mirrors
-        // the unspent slots during routing, and any still unspent when
-        // the grants drop are released automatically.
-        let mut grants: Vec<Option<crate::queue::Reservation<'_>>> =
-            (0..num_shards).map(|_| None).collect();
-        let mut avail = vec![0usize; num_shards];
-        let _serial = self.serialize_admission();
-        let topo = self.topology.read().unwrap();
+    /// Whether `shard`'s grant still has a slot for one more entry.
+    fn has_room(&self, shard: ShardId) -> bool {
+        self.s.granted[shard] > self.s.buckets[shard].len()
+    }
+}
 
-        // Under Shed the per-shard demand must be known before any entry
-        // is built, so that path routes in a pre-pass and grabs capacity
-        // credits up front (one reservation call per shard); requests
-        // whose shards ran out are shed individually, split ranges
-        // all-or-nothing. Block needs no credits, so it routes inline —
-        // a single pass with no intermediate routed Vec.
-        let mut ops = Some(ops);
-        let routed: Option<Vec<(Key, OpKind, u64, Route)>> = match self.policy {
-            AdmitPolicy::Block => None,
-            AdmitPolicy::Shed => {
-                let routed: Vec<(Key, OpKind, u64, Route)> = ops
-                    .take()
-                    .expect("ops iterator consumed twice")
-                    .map(|(key, op, arrival)| (key, op, arrival, self.route(&topo, key, op)))
-                    .collect();
-                let mut demand = vec![0usize; num_shards];
-                for (_, _, _, route) in &routed {
-                    match route {
-                        Route::Empty => {}
-                        Route::One(shard) => demand[*shard] += 1,
-                        Route::Split(parts) => {
-                            for p in parts {
-                                demand[p.shard] += 1;
-                            }
-                        }
-                    }
-                }
-                for (shard, &d) in demand.iter().enumerate() {
-                    if d > 0 {
-                        let grant = self.shards[shard].queue.reserve_up_to(d);
-                        avail[shard] = grant.count();
-                        grants[shard] = Some(grant);
-                    }
-                }
-                Some(routed)
-            }
-        };
-
-        let lb = self.next_ts.load(Ordering::SeqCst);
-        let _slot = self.inflight.claim(lb);
-        let base = self.next_ts.fetch_add(n as u64, Ordering::SeqCst);
-
-        {
-            let mut admit_one = |i: usize, key: Key, op: OpKind, arrival: u64, route: Route| {
-                let cell = batch.cell_ref(i);
-                let ts = base + i as u64;
-                match route {
-                    Route::Empty => cell.resolve(Outcome::Done(Response::Range(Vec::new()))),
-                    Route::One(shard) => {
-                        if self.policy == AdmitPolicy::Shed && avail[shard] == 0 {
-                            self.shards[shard].record_shed(1, tenant);
-                            cell.resolve(Outcome::Rejected);
-                        } else {
-                            if self.policy == AdmitPolicy::Shed {
-                                avail[shard] -= 1;
-                            }
-                            cell.set_ts(ts);
-                            buckets[shard].push(Entry {
-                                req: Request { key, op, ts },
-                                deadline,
-                                arrival,
-                                tenant,
-                                completion: Completion::Direct(cell),
-                            });
-                        }
-                    }
-                    Route::Split(parts) => {
-                        let len = match op {
-                            OpKind::Range { len } => len,
-                            _ => unreachable!("only ranges split"),
-                        };
-                        if self.policy == AdmitPolicy::Shed {
-                            if let Some(full) = parts.iter().find(|p| avail[p.shard] == 0) {
-                                self.shards[full.shard].record_shed(1, tenant);
-                                cell.resolve(Outcome::Rejected);
-                                return;
-                            }
-                            for p in &parts {
-                                avail[p.shard] -= 1;
-                            }
-                        }
-                        cell.set_ts(ts);
-                        let merge = Arc::new(RangeMerge::new(len as usize, parts.len(), cell));
-                        for p in &parts {
-                            buckets[p.shard].push(Entry {
-                                req: Request::range(p.lo, p.len, ts),
-                                deadline,
-                                arrival,
-                                tenant,
-                                completion: Completion::Part {
-                                    merge: merge.clone(),
-                                    offset: p.offset,
-                                },
-                            });
-                        }
-                    }
-                }
-            };
-            match routed {
-                Some(routed) => {
-                    for (i, (key, op, arrival, route)) in routed.into_iter().enumerate() {
-                        admit_one(i, key, op, arrival, route);
-                    }
-                }
-                None => {
-                    for (i, (key, op, arrival)) in
-                        ops.take().expect("ops iterator consumed twice").enumerate()
-                    {
-                        let route = self.route(&topo, key, op);
-                        admit_one(i, key, op, arrival, route);
-                    }
-                }
-            }
+impl Drop for Admission<'_> {
+    fn drop(&mut self) {
+        let slots = self.shards.iter().zip(&mut self.s.granted);
+        for ((state, granted), bucket) in slots.zip(&mut self.s.buckets) {
+            state.queue.release_reserved(std::mem::take(granted));
+            bucket.clear();
+            bucket.shrink_to(SCRATCH_RETAIN);
         }
-        tickets.extend((0..n).map(|i| batch.ticket(i)));
-
-        for (shard, bucket) in buckets.into_iter().enumerate() {
-            if bucket.is_empty() {
-                // An untouched grant (if any) drops with the function,
-                // releasing its slots.
-                continue;
-            }
-            let state = &self.shards[shard];
-            match self.policy {
-                AdmitPolicy::Shed => {
-                    // Fill through the grant; its unspent remainder is
-                    // released when the guard drops below.
-                    let mut grant = grants[shard]
-                        .take()
-                        .expect("grant reserved in the pre-pass");
-                    match grant.push_many(bucket) {
-                        Ok((pushed, depth)) => state.record_enqueue(pushed as u64, depth),
-                        Err(rest) => {
-                            for e in rest {
-                                e.completion.resolve_fail(Outcome::Rejected);
-                            }
-                        }
-                    }
-                }
-                AdmitPolicy::Block => match state.queue.push_blocking_many(bucket) {
-                    Ok((pushed, high)) => state.record_enqueue(pushed as u64, high),
-                    Err((pushed, high, rest)) => {
-                        state.record_enqueue(pushed as u64, high);
-                        for e in rest {
-                            e.completion.resolve_fail(Outcome::Rejected);
-                        }
-                    }
-                },
-            }
-        }
-        tickets
+        let s = std::mem::take(&mut self.s);
+        // Fails only while the thread itself is being torn down.
+        let _ = SCRATCH.try_with(|cell| cell.set(s));
     }
 }
 
@@ -964,16 +753,16 @@ impl Client {
     }
 
     /// Submits a request; the returned [`Ticket`] resolves once its epoch
-    /// executes (or admission sheds it).
+    /// executes (or admission sheds it). The same admission path as
+    /// [`submit_many`](Client::submit_many), with one op.
     pub fn submit(&self, key: Key, op: OpKind) -> Ticket {
-        self.inner.submit(key, op, None, 0, self.tenant)
+        self.submit_one(key, op, None, 0)
     }
 
     /// Submits with a deadline: if the deadline passes before the request's
     /// epoch forms, it resolves [`Outcome::TimedOut`] without executing.
     pub fn submit_with_deadline(&self, key: Key, op: OpKind, deadline: Duration) -> Ticket {
-        self.inner
-            .submit(key, op, Some(Instant::now() + deadline), 0, self.tenant)
+        self.submit_one(key, op, Some(Instant::now() + deadline), 0)
     }
 
     /// Submits with a virtual arrival time in device cycles (open-loop
@@ -981,8 +770,13 @@ impl Client {
     /// `arrival_cycles` on the shard's virtual clock, and its reported
     /// latency is measured from that arrival.
     pub fn submit_at(&self, key: Key, op: OpKind, arrival_cycles: u64) -> Ticket {
+        self.submit_one(key, op, None, arrival_cycles)
+    }
+
+    fn submit_one(&self, key: Key, op: OpKind, deadline: Option<Instant>, arrival: u64) -> Ticket {
         self.inner
-            .submit(key, op, None, arrival_cycles, self.tenant)
+            .submit_many(std::iter::once((key, op, arrival)), deadline, self.tenant)
+            .ticket(0)
     }
 
     /// Batched submission: admits the whole slice with one timestamp
@@ -991,19 +785,19 @@ impl Client {
     /// `base + i`, so the batch linearizes in slice order. Tickets come
     /// back positionally.
     pub fn submit_many(&self, ops: &[(Key, OpKind)]) -> Vec<Ticket> {
-        self.inner.submit_many(
-            ops.len(),
-            ops.iter().map(|&(k, o)| (k, o, 0)),
-            None,
-            self.tenant,
-        )
+        let batch = self
+            .inner
+            .submit_many(ops.iter().map(|&(k, o)| (k, o, 0)), None, self.tenant);
+        (0..ops.len()).map(|i| batch.ticket(i)).collect()
     }
 
     /// [`submit_many`](Client::submit_many) with a virtual arrival time
     /// (device cycles) per request.
     pub fn submit_many_at(&self, ops: &[(Key, OpKind, u64)]) -> Vec<Ticket> {
-        self.inner
-            .submit_many(ops.len(), ops.iter().copied(), None, self.tenant)
+        let batch = self
+            .inner
+            .submit_many(ops.iter().copied(), None, self.tenant);
+        (0..ops.len()).map(|i| batch.ticket(i)).collect()
     }
 
     /// A snapshot of the service's current shard map. With online
@@ -1091,11 +885,9 @@ impl Service {
             shards: states.clone(),
             next_ts: AtomicU64::new(0),
             inflight: Inflight::new(),
-            baseline_lock: Mutex::new(()),
             gate: Mutex::new(cfg.hold_gate),
             gate_cv: Condvar::new(),
             policy: cfg.policy,
-            admission: cfg.admission,
             qos: cfg.qos.clone(),
             fault: cfg.fault.clone(),
             admit_seq: AtomicU64::new(0),
@@ -1334,6 +1126,12 @@ fn combiner_loop(
     let heap_target = controller.max_target().saturating_mul(2).max(64);
     let mut stalls = 0u32;
     let qos = inner.qos.enabled();
+    // The watermark read just before the latest full drain. Every entry
+    // below it was enqueued before that drain, so it sits in the heap (or
+    // has been emitted). A watermark read without a drain after it may
+    // also cover entries still in the queue: emitting up to it could skip
+    // them and break timestamp order.
+    let mut wm = 0;
     loop {
         inner.wait_gate();
         // The closed-loop batch target for this epoch (constant under
@@ -1345,9 +1143,12 @@ fn combiner_loop(
         // Watermark BEFORE the drain: every entry below it is enqueued at
         // this instant, so the drain below cannot miss one (module docs).
         // Lane entries admitted above drew their timestamps before this
-        // read, so they are covered too.
-        let wm = inner.watermark();
-        if !finished && (heap.len() < heap_target || stalls > 0) {
+        // read, so they are covered too. Once the queue is finished every
+        // admitted entry is already in the heap.
+        if finished {
+            wm = inner.watermark();
+        } else if heap.len() < heap_target || stalls > 0 {
+            wm = inner.watermark();
             let wait = if heap.is_empty() {
                 None // block until something arrives or the queue closes
             } else {
@@ -1400,7 +1201,7 @@ fn combiner_loop(
                     .iter()
                     .filter_map(|e| e.deadline)
                     .fold(deadline, |acc, d| acc.min(d));
-                let wm = inner.watermark();
+                wm = inner.watermark();
                 let Drained {
                     entries,
                     finished: f,
@@ -2393,14 +2194,6 @@ mod tests {
     }
 
     #[test]
-    fn global_lock_admission_mode_still_linearizes() {
-        let mut cfg = small_cfg(boundary_map());
-        cfg.hold_gate = true;
-        cfg.admission = AdmissionMode::GlobalLock;
-        check_ops_against_oracle(cfg, false);
-    }
-
-    #[test]
     fn split_ranges_merge_across_shards() {
         let pairs = initial_pairs();
         let mut cfg = small_cfg(boundary_map());
@@ -2854,11 +2647,9 @@ mod tests {
             shards: vec![Arc::new(ShardState::new(4, &QosConfig::disabled()))],
             next_ts: AtomicU64::new(10),
             inflight: Inflight::new(),
-            baseline_lock: Mutex::new(()),
             gate: Mutex::new(false),
             gate_cv: Condvar::new(),
             policy: AdmitPolicy::Block,
-            admission: AdmissionMode::LockFree,
             qos: QosConfig::disabled(),
             fault: FaultPlan::default(),
             admit_seq: AtomicU64::new(0),

@@ -68,9 +68,10 @@ impl TicketCell {
     }
 }
 
-/// One block of ticket cells allocated together. Batched submission
-/// ([`Client::submit_many`](crate::Client::submit_many)) makes ONE shared
-/// allocation per call instead of one `Arc` per request — the dominant
+/// One block of ticket cells allocated together. Every admission call
+/// ([`Client::submit_many`](crate::Client::submit_many); a single
+/// [`Client::submit`](crate::Client::submit) is a batch of one) makes ONE
+/// shared allocation instead of one `Arc` per request — the dominant
 /// per-op malloc on the ingress hot path. Individual [`Ticket`]s and
 /// [`Completion`]s address into the block by index via [`CellRef`]; the
 /// block is freed when the last of them drops.
@@ -131,15 +132,6 @@ pub struct Ticket {
 }
 
 impl Ticket {
-    pub(crate) fn new() -> (Ticket, CellRef) {
-        // Single direct allocation (no intermediate Vec): the unbatched
-        // submit path — including the global-lock bench baseline — pays
-        // exactly one malloc here, same as before batching existed.
-        let cells: Arc<[TicketCell]> = Arc::new([TicketCell::default()]);
-        let batch = TicketBatch { cells };
-        (batch.ticket(0), batch.cell_ref(0))
-    }
-
     /// Blocks until the request resolves.
     pub fn wait(&self) -> Outcome {
         let mut state = self.cell.state.lock().unwrap();
@@ -266,9 +258,14 @@ impl Completion {
 mod tests {
     use super::*;
 
+    fn ticket() -> (Ticket, CellRef) {
+        let batch = TicketBatch::new(1);
+        (batch.ticket(0), batch.cell_ref(0))
+    }
+
     #[test]
     fn ticket_resolves_once() {
-        let (t, cell) = Ticket::new();
+        let (t, cell) = ticket();
         assert_eq!(t.try_get(), None);
         cell.resolve(Outcome::Done(Response::Done));
         cell.resolve(Outcome::Rejected); // ignored: first resolution wins
@@ -278,7 +275,7 @@ mod tests {
 
     #[test]
     fn range_merge_assembles_parts_in_any_order() {
-        let (t, cell) = Ticket::new();
+        let (t, cell) = ticket();
         let merge = RangeMerge::new(5, 2, cell);
         merge.complete_part(3, &[Some(30), None]);
         assert_eq!(t.try_get(), None);
@@ -300,7 +297,7 @@ mod tests {
         // Hash-scatter merging: every shard reports the full window, with
         // `Some` only at its own keys. The union must survive whatever
         // order the parts land in.
-        let (t, cell) = Ticket::new();
+        let (t, cell) = ticket();
         let merge = RangeMerge::new(4, 3, cell);
         merge.complete_part(0, &[Some(1), None, None, None]);
         merge.complete_part(0, &[None, None, Some(3), None]);
@@ -313,7 +310,7 @@ mod tests {
 
     #[test]
     fn failed_part_poisons_the_range() {
-        let (t, cell) = Ticket::new();
+        let (t, cell) = ticket();
         let merge = RangeMerge::new(4, 2, cell);
         merge.complete_part(0, &[Some(1), Some(2)]);
         merge.fail_part(Outcome::TimedOut);
