@@ -18,12 +18,13 @@ use crate::common::{
     charge_request_io, warp_span, warps_for, BatchRun, ConcurrentTree, ResponseBuf, TreeBase,
 };
 use eirene_btree::build::TreeHandle;
-use eirene_btree::node::{meta_count, OFF_KEYS, OFF_META, OFF_NEXT, OFF_VALS};
+use eirene_btree::node::MAX_HOPS;
 use eirene_btree::txops::{
-    tx_delete_rebalancing, tx_descend, tx_query_at_leaf, tx_upsert_at_leaf, LeafUpsert, NO_VALUE,
+    tx_delete_rebalancing, tx_descend, tx_query_at_leaf, tx_read_node, tx_upsert_at_leaf,
+    LeafUpsert, NO_VALUE,
 };
 use eirene_sim::{Device, DeviceConfig, Phase, WarpCtx};
-use eirene_stm::{Stm, Tx, TxResult};
+use eirene_stm::{Abort, Stm, Tx, TxResult};
 use eirene_workloads::{Batch, OpKind, Response};
 
 /// The STM-based tree.
@@ -58,13 +59,13 @@ fn tx_process(
 ) -> TxResult<Response> {
     match op {
         OpKind::Query => {
-            let (addr, count) = tx_descend(tx, ctx, handle, key, false)?;
-            let v = tx_query_at_leaf(tx, ctx, addr, count, key)?;
+            let (_, leaf) = tx_descend(tx, ctx, handle, key, false)?;
+            let v = tx_query_at_leaf(ctx, &leaf, key);
             Ok(Response::Value((v != NO_VALUE).then_some(v as u32)))
         }
         OpKind::Upsert(v) => {
-            let (addr, count) = tx_descend(tx, ctx, handle, key, true)?;
-            match tx_upsert_at_leaf(tx, ctx, addr, count, key, v as u64)? {
+            let (addr, leaf) = tx_descend(tx, ctx, handle, key, true)?;
+            match tx_upsert_at_leaf(tx, ctx, addr, &leaf, key, v as u64)? {
                 LeafUpsert::Done(_) => Ok(Response::Done),
                 LeafUpsert::Full => unreachable!("insert-capable descent guarantees room"),
             }
@@ -80,36 +81,33 @@ fn tx_process(
             let lo = key;
             let hi = lo.saturating_add(len as u64 - 1);
             let mut out = vec![None; len as usize];
-            let (mut addr, mut count) = tx_descend(tx, ctx, handle, lo, false)?;
+            let (_, mut leaf) = tx_descend(tx, ctx, handle, lo, false)?;
             let prev = ctx.set_phase(Phase::LeafOp);
+            // Each leaf is one transactional block read; the scan over it
+            // is register work.
             let mut scan = |tx: &mut Tx<'_>, ctx: &mut WarpCtx<'_>, out: &mut Vec<Option<u32>>| {
+                let mut hops = 0u32;
                 loop {
-                    let mut maxk = 0;
-                    for i in 0..count {
-                        let k = tx.read(ctx, addr + OFF_KEYS + i as u64)?;
-                        ctx.control(1);
-                        maxk = k;
+                    let count = leaf.count();
+                    for (&k, &v) in leaf.keys[..count].iter().zip(&leaf.vals[..count]) {
                         if k >= lo && k <= hi {
-                            let v = tx.read(ctx, addr + OFF_VALS + i as u64)?;
                             out[(k - lo) as usize] = Some(v as u32);
                         }
                     }
-                    if count > 0 && maxk >= hi {
-                        break;
+                    ctx.control(count as u64 + 2);
+                    if hi < leaf.high || leaf.next == 0 {
+                        return Ok(());
+                    }
+                    hops += 1;
+                    if hops > MAX_HOPS {
+                        return Err(Abort);
                     }
                     ctx.set_phase(Phase::HorizontalTraversal);
-                    let next = tx.read(ctx, addr + OFF_NEXT)?;
-                    if next == 0 {
-                        ctx.set_phase(Phase::LeafOp);
-                        break;
-                    }
                     ctx.stats.horizontal_steps += 1;
-                    addr = next;
-                    let meta = tx.read(ctx, addr + OFF_META)?;
-                    count = meta_count(meta);
+                    let next = tx_read_node(tx, ctx, leaf.next);
                     ctx.set_phase(Phase::LeafOp);
+                    leaf = next?;
                 }
-                Ok(())
             };
             let r = scan(tx, ctx, &mut out);
             ctx.set_phase(prev);

@@ -17,9 +17,20 @@ fn fmt_m(v: f64) -> String {
     format!("{:.1}", v / 1e6)
 }
 
+/// Prints whether a paper ordering holds; returns it.
+fn check_ordering(what: &str, holds: bool) -> bool {
+    if holds {
+        println!("ordering ok: {what}");
+    } else {
+        println!("ORDERING VIOLATED: {what}");
+    }
+    holds
+}
+
 /// Fig. 1 — memory and control-flow instructions per request for the
-/// motivation baselines (no-CC / STM / Lock), default workload.
-pub fn fig1(scale: &Scale) {
+/// motivation baselines (no-CC / STM / Lock), default workload. Returns
+/// whether the paper's ordering holds: both counts STM > Lock > no-CC.
+pub fn fig1(scale: &Scale) -> bool {
     crate::metrics::set_context("fig1");
     println!("== Figure 1: profiling of STM GB-tree and Lock GB-tree ==");
     println!("{:<34}{:>14}{:>14}", "tree", "memory_inst", "control_inst");
@@ -56,6 +67,16 @@ pub fn fig1(scale: &Scale) {
         }
     }
     write_csv("fig1", "tree,mem_inst_per_req,control_inst_per_req", &rows);
+    let (nocc, stm, lock) = (&ms[0], &ms[1], &ms[2]);
+    let mem = check_ordering(
+        "memory_inst STM > Lock > no-CC",
+        stm.mem_insts > lock.mem_insts && lock.mem_insts > nocc.mem_insts,
+    );
+    let ctrl = check_ordering(
+        "control_inst STM > Lock > no-CC",
+        stm.control_insts > lock.control_insts && lock.control_insts > nocc.control_insts,
+    );
+    mem && ctrl
 }
 
 /// Fig. 2 — normalized time per request with max/min whiskers for the two
@@ -183,8 +204,9 @@ pub fn fig8(scale: &Scale) {
 }
 
 /// Fig. 9 — Eirene's memory/control instructions per request, normalized
-/// to each baseline.
-pub fn fig9(scale: &Scale) {
+/// to each baseline. Returns whether Eirene's mem/req is below both
+/// baselines'.
+pub fn fig9(scale: &Scale) -> bool {
     crate::metrics::set_context("fig9");
     println!("== Figure 9: metrics profiling of Eirene (normalized) ==");
     let spec = spec_for(scale.default_exp, scale.batch_size, default_mix(), 9);
@@ -231,6 +253,10 @@ pub fn fig9(scale: &Scale) {
         "tree,mem_per_req,ctrl_per_req,conflicts_per_req",
         &rows,
     );
+    check_ordering(
+        "Eirene mem/req below STM and Lock",
+        eir.mem_insts < stm.mem_insts && eir.mem_insts < lock.mem_insts,
+    )
 }
 
 /// Fig. 10 — normalized average traversal steps across tree sizes.
@@ -412,9 +438,9 @@ pub fn fig13(scale: &Scale) {
     write_csv("fig13", "tree,range_len,log2_size,throughput_req_s", &rows);
 }
 
-/// Runs every figure.
-pub fn all(scale: &Scale) {
-    fig1(scale);
+/// Runs every figure; returns whether every gated ordering held.
+pub fn all(scale: &Scale) -> bool {
+    let fig1_ok = fig1(scale);
     println!();
     fig2(scale);
     println!();
@@ -422,7 +448,7 @@ pub fn all(scale: &Scale) {
     println!();
     fig8(scale);
     println!();
-    fig9(scale);
+    let fig9_ok = fig9(scale);
     println!();
     fig10(scale);
     println!();
@@ -431,4 +457,5 @@ pub fn all(scale: &Scale) {
     fig12(scale);
     println!();
     fig13(scale);
+    fig1_ok && fig9_ok
 }

@@ -60,6 +60,16 @@ pub fn build_fill_for(i: usize) -> usize {
 /// waste to 4x.
 pub const MIN_OCCUPANCY: usize = FANOUT / 4;
 
+/// Bound on the levels one descent may walk (and on the restarts of a
+/// transactional descent). A real tree is far shallower; only a
+/// traversal reading a torn or cyclic structure reaches it, and it then
+/// restarts or aborts instead of spinning.
+pub const MAX_DEPTH: u32 = 64;
+
+/// Bound on the right-sibling hops one traversal may take, for the same
+/// reason as [`MAX_DEPTH`].
+pub const MAX_HOPS: u32 = 256;
+
 /// Key slot value meaning "empty".
 pub const EMPTY_KEY: u64 = u64::MAX;
 

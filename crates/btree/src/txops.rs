@@ -4,14 +4,25 @@
 //! transaction) and by Eirene's update kernel (which uses them only for
 //! the leaf region, plus the full descent as its fallback path once the
 //! optimistic retry threshold is exceeded — Alg. 1 lines 27-46).
+//!
+//! The leaf region is warp-cooperative: [`tx_read_node`] takes a leaf with
+//! one transactional block read, [`tx_hop_right`] and the leaf operations
+//! decide on that snapshot in registers, and a leaf write is one
+//! [`Tx::write_block`] for the shifted run of keys and one for the values,
+//! plus META. Inner-node work (descents, splits, merges) stays word-level.
+//!
+//! The STM is not opaque, so a doomed transaction may follow a torn chain
+//! or a cyclic pointer; every loop here is bounded by [`MAX_HOPS`] and
+//! [`MAX_DEPTH`] and aborts past the bound.
 
 use crate::build::TreeHandle;
 use crate::node::{
-    meta_count, meta_is_leaf, pack_meta, FANOUT, META_DEAD, MIN_OCCUPANCY, NODE_WORDS, OFF_HIGH,
-    OFF_KEYS, OFF_LOW, OFF_META, OFF_NEXT, OFF_RF, OFF_VALS, OFF_VERSION,
+    meta_count, meta_is_leaf, pack_meta, ParsedNode, EMPTY_KEY, FANOUT, MAX_DEPTH, MAX_HOPS,
+    META_DEAD, MIN_OCCUPANCY, NODE_WORDS, OFF_HIGH, OFF_KEYS, OFF_LOW, OFF_META, OFF_NEXT, OFF_RF,
+    OFF_VALS, OFF_VERSION,
 };
 use eirene_sim::{Addr, Phase, TraceEventKind, WarpCtx};
-use eirene_stm::{Tx, TxResult};
+use eirene_stm::{Abort, Tx, TxResult};
 
 /// Sentinel for "no previous value".
 pub const NO_VALUE: u64 = u64::MAX;
@@ -49,21 +60,12 @@ pub fn tx_child_slot(
     Ok(lo)
 }
 
-/// Transactional search for an exact key in a leaf.
-pub fn tx_find(
-    tx: &mut Tx<'_>,
-    ctx: &mut WarpCtx<'_>,
-    addr: Addr,
-    count: usize,
-    key: u64,
-) -> TxResult<Option<usize>> {
-    if count == 0 {
-        return Ok(None);
-    }
-    let slot = tx_child_slot(tx, ctx, addr, count, key)?;
-    let k = tx.read(ctx, addr + OFF_KEYS + slot as u64)?;
-    ctx.control(1);
-    Ok((k == key).then_some(slot))
+/// Reads a whole node with one warp-cooperative transactional block
+/// read and parses it in registers.
+pub fn tx_read_node(tx: &mut Tx<'_>, ctx: &mut WarpCtx<'_>, addr: Addr) -> TxResult<ParsedNode> {
+    let mut w = [0u64; NODE_WORDS];
+    tx.read_block(ctx, addr, &mut w)?;
+    Ok(ParsedNode::from_words(&w))
 }
 
 /// Splits a full node inside the transaction, returning the sibling's
@@ -187,16 +189,19 @@ fn tx_split_inner(
 /// Right-hops across the leaf chain transactionally until reaching the
 /// leaf responsible for `key` (splits only move keys right, so hopping
 /// right from any leaf at or left of the target is always correct).
-/// Returns the leaf address and count.
+/// Starts from `leaf`, a snapshot of the node at `addr`; each hop is one
+/// [`tx_read_node`]. Returns the covering leaf's address and snapshot, or
+/// aborts past [`MAX_HOPS`] hops (only a doomed transaction reading a torn
+/// chain gets that far).
 pub fn tx_hop_right(
     tx: &mut Tx<'_>,
     ctx: &mut WarpCtx<'_>,
     addr: Addr,
-    count: usize,
+    leaf: ParsedNode,
     key: u64,
-) -> TxResult<(Addr, usize)> {
+) -> TxResult<(Addr, ParsedNode)> {
     let prev = ctx.set_phase(Phase::HorizontalTraversal);
-    let r = tx_hop_right_inner(tx, ctx, addr, count, key);
+    let r = tx_hop_right_inner(tx, ctx, addr, leaf, key);
     ctx.set_phase(prev);
     r
 }
@@ -205,38 +210,38 @@ fn tx_hop_right_inner(
     tx: &mut Tx<'_>,
     ctx: &mut WarpCtx<'_>,
     mut addr: Addr,
-    mut count: usize,
+    mut leaf: ParsedNode,
     key: u64,
-) -> TxResult<(Addr, usize)> {
+) -> TxResult<(Addr, ParsedNode)> {
+    let mut hops = 0u32;
     loop {
-        let high = tx.read(ctx, addr + OFF_HIGH)?;
         ctx.control(1);
-        if key < high {
-            break;
+        if key < leaf.high || leaf.next == 0 {
+            return Ok((addr, leaf));
         }
-        let next = tx.read(ctx, addr + OFF_NEXT)?;
-        if next == 0 {
-            break;
+        hops += 1;
+        if hops > MAX_HOPS {
+            return Err(Abort);
         }
         ctx.stats.horizontal_steps += 1;
-        addr = next;
-        count = meta_count(tx.read(ctx, addr + OFF_META)?);
+        addr = leaf.next;
+        leaf = tx_read_node(tx, ctx, addr)?;
     }
-    Ok((addr, count))
 }
 
 /// Transactional descent from the root to the leaf owning `key`. With
 /// `may_insert`, any full node on the path is split inside the transaction
 /// and the descent restarts (still inside the same transaction, which
 /// observes its own split); the returned leaf then always has room.
-/// Returns (leaf address, leaf count).
+/// Returns the leaf's address and its [`tx_read_node`] snapshot. Aborts
+/// past [`MAX_DEPTH`] levels or restarts.
 pub fn tx_descend(
     tx: &mut Tx<'_>,
     ctx: &mut WarpCtx<'_>,
     handle: &TreeHandle,
     key: u64,
     may_insert: bool,
-) -> TxResult<(Addr, usize)> {
+) -> TxResult<(Addr, ParsedNode)> {
     let prev = ctx.set_phase(Phase::VerticalTraversal);
     let r = tx_descend_inner(tx, ctx, handle, key, may_insert);
     ctx.set_phase(prev);
@@ -249,12 +254,17 @@ fn tx_descend_inner(
     handle: &TreeHandle,
     key: u64,
     may_insert: bool,
-) -> TxResult<(Addr, usize)> {
+) -> TxResult<(Addr, ParsedNode)> {
+    let mut restarts = 0u32;
     'restart: loop {
+        restarts += 1;
+        if restarts > MAX_DEPTH {
+            return Err(Abort);
+        }
         ctx.stats.vertical_traversals += 1;
         let mut parent: Option<(Addr, usize, usize)> = None;
         let mut cur = tx.read(ctx, handle.root_word)?;
-        loop {
+        for _ in 0..MAX_DEPTH {
             let meta = tx.read(ctx, cur + OFF_META)?;
             ctx.stats.vertical_steps += 1;
             ctx.control(2);
@@ -269,8 +279,15 @@ fn tx_descend_inner(
                 continue 'restart;
             }
             if leaf {
-                let (cur_l, count_l) = tx_hop_right(tx, ctx, cur, count, key)?;
-                if may_insert && count_l == FANOUT && cur_l != cur {
+                let node = tx_read_node(tx, ctx, cur)?;
+                if node.meta != meta {
+                    // A writer committed between the META read and the
+                    // snapshot: this transaction can no longer commit, and
+                    // the snapshot may break what the descent decided.
+                    return Err(Abort);
+                }
+                let (cur_l, leaf_l) = tx_hop_right(tx, ctx, cur, node, key)?;
+                if may_insert && leaf_l.count() == FANOUT && cur_l != cur {
                     // Hopped onto a full leaf whose parent we do not hold.
                     // Committed state always publishes fences, so this can
                     // only be a transient view of another writer's split —
@@ -278,13 +295,14 @@ fn tx_descend_inner(
                     // its fence path (with the parent in hand).
                     continue 'restart;
                 }
-                return Ok((cur_l, count_l));
+                return Ok((cur_l, leaf_l));
             }
             let slot = tx_child_slot(tx, ctx, cur, count, key)?;
             let child = tx.read(ctx, cur + OFF_VALS + slot as u64)?;
             parent = Some((cur, slot, count));
             cur = child;
         }
+        return Err(Abort);
     }
 }
 
@@ -293,15 +311,15 @@ fn tx_descend_inner(
 /// (borrow from a richer sibling, else merge) *before* descending into it,
 /// and a single-child inner root is collapsed, so the returned leaf can
 /// always lose one entry without underflowing. Returns `(leaf address,
-/// leaf count, floor)` where `floor` is the occupancy bound to pass to
+/// leaf snapshot, floor)` where `floor` is the occupancy bound to pass to
 /// [`tx_delete_at_leaf`] (zero when the leaf is the root, which is
-/// exempt).
+/// exempt). Aborts past [`MAX_DEPTH`] levels or restarts.
 pub fn tx_descend_merging(
     tx: &mut Tx<'_>,
     ctx: &mut WarpCtx<'_>,
     handle: &TreeHandle,
     key: u64,
-) -> TxResult<(Addr, usize, usize)> {
+) -> TxResult<(Addr, ParsedNode, usize)> {
     let prev = ctx.set_phase(Phase::VerticalTraversal);
     let r = tx_descend_merging_inner(tx, ctx, handle, key);
     ctx.set_phase(prev);
@@ -313,15 +331,25 @@ fn tx_descend_merging_inner(
     ctx: &mut WarpCtx<'_>,
     handle: &TreeHandle,
     key: u64,
-) -> TxResult<(Addr, usize, usize)> {
+) -> TxResult<(Addr, ParsedNode, usize)> {
+    let mut restarts = 0u32;
     'restart: loop {
+        restarts += 1;
+        if restarts > MAX_DEPTH {
+            return Err(Abort);
+        }
         ctx.stats.vertical_traversals += 1;
         let mut cur = tx.read(ctx, handle.root_word)?;
         let mut meta = tx.read(ctx, cur + OFF_META)?;
         ctx.control(2);
+        let mut depth = 0u32;
         // A single-child inner root is replaced by its child before the
         // descent; the old root is tombstoned and retired on commit.
         while !meta_is_leaf(meta) && meta_count(meta) == 1 {
+            depth += 1;
+            if depth > MAX_DEPTH {
+                return Err(Abort);
+            }
             let child = tx.read(ctx, cur + OFF_VALS)?;
             tx.write(ctx, handle.root_word, child)?;
             let h = tx.read(ctx, handle.height_word)?;
@@ -332,12 +360,20 @@ fn tx_descend_merging_inner(
         }
         let mut at_root = true;
         loop {
+            depth += 1;
+            if depth > MAX_DEPTH {
+                return Err(Abort);
+            }
             ctx.stats.vertical_steps += 1;
             ctx.control(2);
             let count = meta_count(meta);
             if meta_is_leaf(meta) {
-                let (cur_l, count_l) = tx_hop_right(tx, ctx, cur, count, key)?;
-                if cur_l != cur && count_l <= MIN_OCCUPANCY {
+                let node = tx_read_node(tx, ctx, cur)?;
+                if node.meta != meta {
+                    return Err(Abort); // as in `tx_descend`
+                }
+                let (cur_l, leaf_l) = tx_hop_right(tx, ctx, cur, node, key)?;
+                if cur_l != cur && leaf_l.count() <= MIN_OCCUPANCY {
                     // Hopped onto an at-floor leaf whose parent we do not
                     // hold; restart — the fence path reaches it with the
                     // parent in hand and rebalances it preemptively.
@@ -348,7 +384,7 @@ fn tx_descend_merging_inner(
                 } else {
                     MIN_OCCUPANCY
                 };
-                return Ok((cur_l, count_l, floor));
+                return Ok((cur_l, leaf_l, floor));
             }
             let slot = tx_child_slot(tx, ctx, cur, count, key)?;
             let child = tx.read(ctx, cur + OFF_VALS + slot as u64)?;
@@ -552,6 +588,7 @@ fn tx_bump_version(tx: &mut Tx<'_>, ctx: &mut WarpCtx<'_>, addr: Addr) -> TxResu
 }
 
 /// Outcome of a leaf-local transactional upsert.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum LeafUpsert {
     /// Applied; carries the previous value or [`NO_VALUE`].
     Done(u64),
@@ -560,17 +597,21 @@ pub enum LeafUpsert {
     Full,
 }
 
-/// Upserts `key` in the (already located) leaf. Does not split.
+/// Upserts `key` in the leaf at `addr`, deciding on its snapshot `leaf`
+/// (taken by [`tx_read_node`] in this transaction). An update writes the
+/// one value word; an insert writes the keys and the values from the
+/// insertion slot to the end as one block each, plus META. Does not
+/// split.
 pub fn tx_upsert_at_leaf(
     tx: &mut Tx<'_>,
     ctx: &mut WarpCtx<'_>,
     addr: Addr,
-    count: usize,
+    leaf: &ParsedNode,
     key: u64,
     val: u64,
 ) -> TxResult<LeafUpsert> {
     let prev = ctx.set_phase(Phase::LeafOp);
-    let r = tx_upsert_at_leaf_inner(tx, ctx, addr, count, key, val);
+    let r = tx_upsert_at_leaf_inner(tx, ctx, addr, leaf, key, val);
     ctx.set_phase(prev);
     r
 }
@@ -579,43 +620,35 @@ fn tx_upsert_at_leaf_inner(
     tx: &mut Tx<'_>,
     ctx: &mut WarpCtx<'_>,
     addr: Addr,
-    count: usize,
+    leaf: &ParsedNode,
     key: u64,
     val: u64,
 ) -> TxResult<LeafUpsert> {
-    if let Some(slot) = tx_find(tx, ctx, addr, count, key)? {
-        let old = tx.read(ctx, addr + OFF_VALS + slot as u64)?;
-        tx.write(ctx, addr + OFF_VALS + slot as u64, val)?;
-        return Ok(LeafUpsert::Done(old));
+    let count = leaf.count();
+    // One warp-wide compare and ballot locates the slot.
+    ctx.control(2);
+    let slot = leaf.keys[..count].partition_point(|&k| k < key);
+    if slot < count && leaf.keys[slot] == key {
+        tx.write_block(ctx, addr + OFF_VALS + slot as u64, &[val])?;
+        return Ok(LeafUpsert::Done(leaf.vals[slot]));
     }
     if count == FANOUT {
         return Ok(LeafUpsert::Full);
     }
-    // Find the sorted slot.
-    let mut slot = 0;
-    while slot < count {
-        let k = tx.read(ctx, addr + OFF_KEYS + slot as u64)?;
-        ctx.control(1);
-        if k >= key {
-            break;
-        }
-        slot += 1;
-    }
-    let mut i = count;
-    while i > slot {
-        let k = tx.read(ctx, addr + OFF_KEYS + (i - 1) as u64)?;
-        let pv = tx.read(ctx, addr + OFF_VALS + (i - 1) as u64)?;
-        tx.write(ctx, addr + OFF_KEYS + i as u64, k)?;
-        tx.write(ctx, addr + OFF_VALS + i as u64, pv)?;
-        i -= 1;
-    }
-    tx.write(ctx, addr + OFF_KEYS + slot as u64, key)?;
-    tx.write(ctx, addr + OFF_VALS + slot as u64, val)?;
+    // The run `slot..=count` moves one slot right behind the new entry.
+    let run = count + 1 - slot;
+    let mut keys = [key; FANOUT];
+    let mut vals = [val; FANOUT];
+    keys[1..run].copy_from_slice(&leaf.keys[slot..count]);
+    vals[1..run].copy_from_slice(&leaf.vals[slot..count]);
+    tx.write_block(ctx, addr + OFF_KEYS + slot as u64, &keys[..run])?;
+    tx.write_block(ctx, addr + OFF_VALS + slot as u64, &vals[..run])?;
     tx.write(ctx, addr + OFF_META, pack_meta(true, false, count + 1))?;
     Ok(LeafUpsert::Done(NO_VALUE))
 }
 
 /// Outcome of a leaf-local transactional delete.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum LeafDelete {
     /// Applied (or the key was absent); carries the previous value or
     /// [`NO_VALUE`].
@@ -626,21 +659,23 @@ pub enum LeafDelete {
     Underflow,
 }
 
-/// Deletes `key` from the (already located) leaf. Does not rebalance:
-/// when the leaf sits at `floor` and holds the key, it escapes with
-/// [`LeafDelete::Underflow`] instead of violating the occupancy floor.
-/// Pass `floor = 0` to delete unconditionally (root leaves are exempt
-/// from the floor).
+/// Deletes `key` from the leaf at `addr`, deciding on its snapshot `leaf`.
+/// The keys after the slot move one left as one block (the vacated last
+/// key becomes [`EMPTY_KEY`]), the values as another, plus META. Does not
+/// rebalance: when the leaf sits at `floor` and holds the key, it escapes
+/// with [`LeafDelete::Underflow`] instead of violating the occupancy
+/// floor. Pass `floor = 0` to delete unconditionally (root leaves are
+/// exempt from the floor).
 pub fn tx_delete_at_leaf(
     tx: &mut Tx<'_>,
     ctx: &mut WarpCtx<'_>,
     addr: Addr,
-    count: usize,
+    leaf: &ParsedNode,
     key: u64,
     floor: usize,
 ) -> TxResult<LeafDelete> {
     let prev = ctx.set_phase(Phase::LeafOp);
-    let r = tx_delete_at_leaf_inner(tx, ctx, addr, count, key, floor);
+    let r = tx_delete_at_leaf_inner(tx, ctx, addr, leaf, key, floor);
     ctx.set_phase(prev);
     r
 }
@@ -649,26 +684,30 @@ fn tx_delete_at_leaf_inner(
     tx: &mut Tx<'_>,
     ctx: &mut WarpCtx<'_>,
     addr: Addr,
-    count: usize,
+    leaf: &ParsedNode,
     key: u64,
     floor: usize,
 ) -> TxResult<LeafDelete> {
-    match tx_find(tx, ctx, addr, count, key)? {
-        None => Ok(LeafDelete::Done(NO_VALUE)),
-        Some(_) if count <= floor => Ok(LeafDelete::Underflow),
-        Some(slot) => {
-            let old = tx.read(ctx, addr + OFF_VALS + slot as u64)?;
-            for i in slot..count - 1 {
-                let k = tx.read(ctx, addr + OFF_KEYS + (i + 1) as u64)?;
-                let v = tx.read(ctx, addr + OFF_VALS + (i + 1) as u64)?;
-                tx.write(ctx, addr + OFF_KEYS + i as u64, k)?;
-                tx.write(ctx, addr + OFF_VALS + i as u64, v)?;
-            }
-            tx.write(ctx, addr + OFF_KEYS + (count - 1) as u64, u64::MAX)?;
-            tx.write(ctx, addr + OFF_META, pack_meta(true, false, count - 1))?;
-            Ok(LeafDelete::Done(old))
-        }
+    let count = leaf.count();
+    ctx.control(2);
+    let slot = match leaf.find(key) {
+        None => return Ok(LeafDelete::Done(NO_VALUE)),
+        Some(_) if count <= floor => return Ok(LeafDelete::Underflow),
+        Some(slot) => slot,
+    };
+    let run = count - slot;
+    let mut keys = [EMPTY_KEY; FANOUT];
+    keys[..run - 1].copy_from_slice(&leaf.keys[slot + 1..count]);
+    tx.write_block(ctx, addr + OFF_KEYS + slot as u64, &keys[..run])?;
+    if run > 1 {
+        tx.write_block(
+            ctx,
+            addr + OFF_VALS + slot as u64,
+            &leaf.vals[slot + 1..count],
+        )?;
     }
+    tx.write(ctx, addr + OFF_META, pack_meta(true, false, count - 1))?;
+    Ok(LeafDelete::Done(leaf.vals[slot]))
 }
 
 /// Full transactional delete with rebalancing: a merging descent keeps
@@ -680,29 +719,22 @@ pub fn tx_delete_rebalancing(
     handle: &TreeHandle,
     key: u64,
 ) -> TxResult<u64> {
-    let (addr, count, floor) = tx_descend_merging(tx, ctx, handle, key)?;
-    match tx_delete_at_leaf(tx, ctx, addr, count, key, floor)? {
+    let (addr, leaf, floor) = tx_descend_merging(tx, ctx, handle, key)?;
+    match tx_delete_at_leaf(tx, ctx, addr, &leaf, key, floor)? {
         LeafDelete::Done(old) => Ok(old),
         LeafDelete::Underflow => unreachable!("merging descent guarantees slack above the floor"),
     }
 }
 
-/// Reads `key`'s value from the (already located) leaf, or [`NO_VALUE`].
-pub fn tx_query_at_leaf(
-    tx: &mut Tx<'_>,
-    ctx: &mut WarpCtx<'_>,
-    addr: Addr,
-    count: usize,
-    key: u64,
-) -> TxResult<u64> {
+/// Looks `key` up in a leaf snapshot taken by [`tx_read_node`] in the
+/// current transaction: the value, or [`NO_VALUE`]. The snapshot is
+/// already in the read set, so the lookup itself is register work.
+pub fn tx_query_at_leaf(ctx: &mut WarpCtx<'_>, leaf: &ParsedNode, key: u64) -> u64 {
     let prev = ctx.set_phase(Phase::LeafOp);
-    let r = match tx_find(tx, ctx, addr, count, key) {
-        Ok(None) => Ok(NO_VALUE),
-        Ok(Some(slot)) => tx.read(ctx, addr + OFF_VALS + slot as u64),
-        Err(e) => Err(e),
-    };
+    ctx.control(2);
+    let v = leaf.find(key).map_or(NO_VALUE, |slot| leaf.vals[slot]);
     ctx.set_phase(prev);
-    r
+    v
 }
 
 #[cfg(test)]
@@ -731,8 +763,8 @@ mod tests {
         let mut ctx = WarpCtx::new(dev.mem(), dev.config(), 0);
         let v = stm
             .run(&mut ctx, 4, |tx, ctx| {
-                let (addr, count) = tx_descend(tx, ctx, &t, 500, false)?;
-                tx_query_at_leaf(tx, ctx, addr, count, 500)
+                let (_, leaf) = tx_descend(tx, ctx, &t, 500, false)?;
+                Ok(tx_query_at_leaf(ctx, &leaf, 500))
             })
             .unwrap();
         assert_eq!(v, 501);
@@ -743,8 +775,8 @@ mod tests {
         let (dev, t, stm) = setup(200);
         let mut ctx = WarpCtx::new(dev.mem(), dev.config(), 0);
         stm.run(&mut ctx, 4, |tx, ctx| {
-            let (addr, count) = tx_descend(tx, ctx, &t, 7, true)?;
-            match tx_upsert_at_leaf(tx, ctx, addr, count, 7, 70)? {
+            let (addr, leaf) = tx_descend(tx, ctx, &t, 7, true)?;
+            match tx_upsert_at_leaf(tx, ctx, addr, &leaf, 7, 70)? {
                 LeafUpsert::Done(old) => {
                     assert_eq!(old, NO_VALUE);
                     Ok(())
@@ -770,8 +802,8 @@ mod tests {
         let mut ctx = WarpCtx::new(dev.mem(), dev.config(), 0);
         for i in 0..100u64 {
             stm.run(&mut ctx, 8, |tx, ctx| {
-                let (addr, count) = tx_descend(tx, ctx, &t, 2 * i + 1, true)?;
-                match tx_upsert_at_leaf(tx, ctx, addr, count, 2 * i + 1, i)? {
+                let (addr, leaf) = tx_descend(tx, ctx, &t, 2 * i + 1, true)?;
+                match tx_upsert_at_leaf(tx, ctx, addr, &leaf, 2 * i + 1, i)? {
                     LeafUpsert::Done(_) => Ok(()),
                     LeafUpsert::Full => unreachable!(),
                 }
@@ -818,7 +850,7 @@ mod tests {
         loop {
             let count = stm
                 .run(&mut ctx, 4, |tx, ctx| {
-                    Ok(tx_descend(tx, ctx, &t, 5_000_000, false)?.1)
+                    Ok(tx_descend(tx, ctx, &t, 5_000_000, false)?.1.count())
                 })
                 .unwrap();
             if count == FANOUT {
@@ -859,8 +891,8 @@ mod tests {
             let key = 2 * i;
             let r = stm
                 .run(&mut ctx, 4, |tx, ctx| {
-                    let (addr, count) = tx_descend(tx, ctx, &t, key, false)?;
-                    tx_delete_at_leaf(tx, ctx, addr, count, key, MIN_OCCUPANCY)
+                    let (addr, leaf) = tx_descend(tx, ctx, &t, key, false)?;
+                    tx_delete_at_leaf(tx, ctx, addr, &leaf, key, MIN_OCCUPANCY)
                 })
                 .unwrap();
             match r {
@@ -930,12 +962,71 @@ mod tests {
         }
         let v = stm
             .run(&mut ctx, 4, |tx, ctx| {
-                let count = leftmost.count(dev.mem());
-                let (addr, count) = tx_hop_right(tx, ctx, leftmost.addr, count, 1500)?;
-                tx_query_at_leaf(tx, ctx, addr, count, 1500)
+                let start = tx_read_node(tx, ctx, leftmost.addr)?;
+                let (_, leaf) = tx_hop_right(tx, ctx, leftmost.addr, start, 1500)?;
+                Ok(tx_query_at_leaf(ctx, &leaf, 1500))
             })
             .unwrap();
         assert_eq!(v, 1501);
         assert!(ctx.stats.horizontal_steps > 0);
+    }
+
+    /// Runs `f` on a helper thread and fails the test unless it returns
+    /// within 10 s (a spinning helper is left detached on failure).
+    fn within_10s<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+        let (done, wait) = std::sync::mpsc::channel();
+        let helper = std::thread::spawn(move || done.send(f()).expect("receiver waits"));
+        let r = wait
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("a doomed transaction did not terminate within 10 s");
+        helper.join().expect("helper thread panicked");
+        r
+    }
+
+    #[test]
+    fn doomed_transactions_on_cyclic_structures_abort() {
+        use crate::node::NodeRef;
+        use eirene_stm::Abort;
+        // A two-leaf cycle whose HIGH keys never cover the key: an
+        // unbounded hop loop would spin forever, growing the read set.
+        let hop = within_10s(|| {
+            let (dev, t, stm) = setup(100);
+            let mem = dev.mem();
+            let mut leaf = NodeRef { addr: t.root(mem) };
+            while !leaf.is_leaf(mem) {
+                leaf = NodeRef {
+                    addr: leaf.val(mem, 0),
+                };
+            }
+            let second = NodeRef {
+                addr: leaf.next(mem),
+            };
+            second.set_next(mem, leaf.addr);
+            leaf.set_high(mem, 10);
+            second.set_high(mem, 10);
+            let mut ctx = WarpCtx::new(mem, dev.config(), 0);
+            let mut tx = stm.begin();
+            let r = tx_read_node(&mut tx, &mut ctx, leaf.addr)
+                .and_then(|node| tx_hop_right(&mut tx, &mut ctx, leaf.addr, node, 1_000_000));
+            tx.rollback(&mut ctx);
+            r.map(|(addr, _)| addr)
+        });
+        assert_eq!(hop, Err(Abort));
+        // An inner root that is its own child: both descents must abort.
+        let descents = within_10s(|| {
+            let (dev, t, stm) = setup(100);
+            let mem = dev.mem();
+            let root = NodeRef { addr: t.root(mem) };
+            for i in 0..root.count(mem) {
+                root.set_val(mem, i, root.addr);
+            }
+            let mut ctx = WarpCtx::new(mem, dev.config(), 0);
+            let mut tx = stm.begin();
+            let plain = tx_descend(&mut tx, &mut ctx, &t, 50, true).map(|(a, _)| a);
+            let merging = tx_descend_merging(&mut tx, &mut ctx, &t, 50).map(|(a, _, _)| a);
+            tx.rollback(&mut ctx);
+            (plain, merging)
+        });
+        assert_eq!(descents, (Err(Abort), Err(Abort)));
     }
 }

@@ -21,12 +21,10 @@ use crate::pivot::PivotCache;
 use crate::plan::{partition_leaf_runs, Artificial, CombinePlan, IssuedKind, Run};
 use eirene_baselines::common::{charge_request_io, BatchRun, ResponseBuf};
 use eirene_btree::build::TreeHandle;
-use eirene_btree::node::{
-    meta_count, meta_is_dead, meta_is_leaf, MIN_OCCUPANCY, OFF_LOW, OFF_META, OFF_VERSION,
-};
+use eirene_btree::node::MIN_OCCUPANCY;
 use eirene_btree::txops::{
-    tx_delete_at_leaf, tx_delete_rebalancing, tx_descend, tx_hop_right, tx_upsert_at_leaf,
-    LeafDelete, LeafUpsert, NO_VALUE,
+    tx_delete_at_leaf, tx_delete_rebalancing, tx_descend, tx_hop_right, tx_read_node,
+    tx_upsert_at_leaf, LeafDelete, LeafUpsert, NO_VALUE,
 };
 use eirene_primitives::PrimCost;
 use eirene_sim::{Device, KernelStats, Phase, TraceEventKind};
@@ -321,8 +319,8 @@ fn update_one(
             let old = stm
                 .run(ctx, usize::MAX >> 1, |tx, ctx| match kind {
                     IssuedKind::Upsert(v) => {
-                        let (addr, count) = tx_descend(tx, ctx, handle, key, true)?;
-                        match tx_upsert_at_leaf(tx, ctx, addr, count, key, v as u64)? {
+                        let (addr, leaf) = tx_descend(tx, ctx, handle, key, true)?;
+                        match tx_upsert_at_leaf(tx, ctx, addr, &leaf, key, v as u64)? {
                             LeafUpsert::Done(old) => Ok(old),
                             LeafUpsert::Full => unreachable!("descent guarantees room"),
                         }
@@ -343,32 +341,30 @@ fn update_one(
         let attempt = {
             let mut tx = stm.begin();
             let r = (|| {
-                let v2 = tx.read(ctx, addr + OFF_VERSION)?;
-                ctx.control(1);
-                if v2 != leafvers {
+                // One transactional block read of the located leaf; the
+                // version, META and LOW checks read that snapshot.
+                let snap = tx_read_node(&mut tx, ctx, addr)?;
+                ctx.control(2);
+                if snap.version != leafvers {
                     return Ok(None); // stale leaf reference (line 38)
                 }
-                let meta = tx.read(ctx, addr + OFF_META)?;
-                ctx.control(1);
-                if !meta_is_leaf(meta) || meta_is_dead(meta) {
+                if !snap.is_leaf() || snap.is_dead() {
                     // The unprotected hint was garbage, or the leaf was
                     // merged away and awaits reclamation.
                     return Ok(None);
                 }
-                let count = meta_count(meta);
-                let (laddr, lcount) = tx_hop_right(&mut tx, ctx, addr, count, key)?;
+                let (laddr, leaf) = tx_hop_right(&mut tx, ctx, addr, snap, key)?;
                 // Ownership proof: hop_right established key < high; the
                 // low fence closes the other side. A leaf located right of
                 // the target (possible only from a torn hint) fails here
                 // and retries vertically.
-                let low = tx.read(ctx, laddr + OFF_LOW)?;
                 ctx.control(1);
-                if key < low {
+                if key < leaf.low {
                     return Ok(None);
                 }
                 match kind {
                     IssuedKind::Upsert(v) => {
-                        match tx_upsert_at_leaf(&mut tx, ctx, laddr, lcount, key, v as u64)? {
+                        match tx_upsert_at_leaf(&mut tx, ctx, laddr, &leaf, key, v as u64)? {
                             LeafUpsert::Done(old) => Ok(Some(old)),
                             LeafUpsert::Full => {
                                 need_smo = true;
@@ -377,7 +373,7 @@ fn update_one(
                         }
                     }
                     IssuedKind::Delete => {
-                        match tx_delete_at_leaf(&mut tx, ctx, laddr, lcount, key, MIN_OCCUPANCY)? {
+                        match tx_delete_at_leaf(&mut tx, ctx, laddr, &leaf, key, MIN_OCCUPANCY)? {
                             LeafDelete::Done(old) => Ok(Some(old)),
                             LeafDelete::Underflow => {
                                 need_smo = true;

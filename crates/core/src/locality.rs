@@ -18,7 +18,7 @@
 
 use crate::pivot::PivotCache;
 use eirene_btree::build::TreeHandle;
-use eirene_btree::node::{ParsedNode, NODE_WORDS, OFF_RF};
+use eirene_btree::node::{ParsedNode, MAX_DEPTH, MAX_HOPS, NODE_WORDS, OFF_RF};
 use eirene_sim::{Addr, Phase, WarpCtx};
 
 /// Per-warp traversal state implementing the RF-guided choice.
@@ -195,7 +195,7 @@ impl<'c> WarpLocator<'c> {
             while !node.is_leaf() {
                 ctx.control(12);
                 depth += 1;
-                if depth > 64 || node.count() == 0 {
+                if depth > MAX_DEPTH || node.count() == 0 {
                     ctx.charge_cycles(50);
                     continue 'restart;
                 }
@@ -213,7 +213,7 @@ impl<'c> WarpLocator<'c> {
             while key >= node.high && node.next != 0 {
                 ctx.control(4);
                 hops += 1;
-                if hops > 256 {
+                if hops > MAX_HOPS {
                     ctx.charge_cycles(50);
                     continue 'restart;
                 }

@@ -10,11 +10,21 @@ pub struct Abort;
 /// Result of a transactional operation.
 pub type TxResult<T> = Result<T, Abort>;
 
+/// Longest run of ownership records one block access covers: a warp
+/// moves 32 words per instruction.
+const RUN_CAP: usize = 32;
+
+/// Largest arena block a transactional block access may span. Two words
+/// share a record, so the block's records fit one warp-wide access.
+const MAX_BLOCK_WORDS: usize = 2 * (RUN_CAP - 1);
+
 /// STM instance: an ownership table in device memory.
 ///
-/// `stripes` must be a power of two. Each record protects the arena words
-/// that hash onto it. Records are even version numbers when free and odd
-/// `(tx_id << 1) | 1` markers when owned.
+/// `stripes` must be a power of two. Records are even version numbers
+/// when free and odd `(tx_id << 1) | 1` markers when owned. The layout is
+/// linear: arena words `2i` and `2i + 1` share record `i mod stripes`, so
+/// a contiguous block of arena words maps to a contiguous run of records
+/// (one coalesced access), wrapping at most once at the table's end.
 pub struct Stm {
     table_base: Addr,
     mask: u64,
@@ -25,8 +35,8 @@ impl Stm {
     /// Allocates the ownership table in the arena.
     pub fn new(mem: &GlobalMemory, stripes: usize) -> Self {
         assert!(
-            stripes.is_power_of_two(),
-            "stripe count must be a power of two"
+            stripes.is_power_of_two() && stripes >= RUN_CAP,
+            "stripe count must be a power of two of at least {RUN_CAP}"
         );
         let table_base = mem.alloc_aligned(stripes, 16);
         Stm {
@@ -36,15 +46,26 @@ impl Stm {
         }
     }
 
-    /// Ownership-record address for an arena word. Fibonacci hashing
-    /// spreads adjacent node words over the table so one hot node does not
-    /// serialize on a single stripe — except for words within the same
-    /// cache-line-sized group, which intentionally share a record.
+    /// Ownership-record address for an arena word: two adjacent words
+    /// share a record, and consecutive word pairs map to consecutive
+    /// records.
     #[inline]
     pub fn record_addr(&self, addr: Addr) -> Addr {
-        let group = addr >> 1; // two words share a stripe
-        let h = group.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 17;
-        self.table_base + (h & self.mask)
+        self.table_base + ((addr >> 1) & self.mask)
+    }
+
+    /// The record runs covering `words` arena words from `base`: one
+    /// `(first record, length)` run, or two when the range wraps the end
+    /// of the table (the second run then starts at the table base).
+    fn record_runs(&self, base: Addr, words: usize) -> [(Addr, usize); 2] {
+        assert!(
+            (1..=MAX_BLOCK_WORDS).contains(&words),
+            "block of {words} words exceeds a warp-wide record access"
+        );
+        let first = (base >> 1) & self.mask;
+        let n = (((base + words as u64 - 1) >> 1) - (base >> 1) + 1) as usize;
+        let head = n.min((self.mask + 1 - first) as usize);
+        [(self.table_base + first, head), (self.table_base, n - head)]
     }
 
     /// Starts a transaction.
@@ -55,6 +76,7 @@ impl Stm {
             marker: (id << 1) | 1,
             reads: Vec::new(),
             undo: Vec::new(),
+            undo_words: Vec::new(),
             owned: Vec::new(),
             retires: Vec::new(),
             abort_retires: Vec::new(),
@@ -98,14 +120,49 @@ impl std::fmt::Debug for Stm {
     }
 }
 
+/// Reads the records of `runs` into `out` with one block read per run.
+fn read_records(ctx: &mut WarpCtx<'_>, runs: &[(Addr, usize); 2], out: &mut [u64]) {
+    let (head, tail) = out.split_at_mut(runs[0].1);
+    ctx.read_block(runs[0].0, head);
+    if !tail.is_empty() {
+        ctx.read_block(runs[1].0, tail);
+    }
+}
+
+/// Addresses of the records in `runs`, in order.
+fn record_addrs(runs: &[(Addr, usize); 2]) -> impl Iterator<Item = Addr> + '_ {
+    runs.iter()
+        .flat_map(|&(first, len)| first..first + len as u64)
+}
+
+/// Splits `(record, version)` entries into runs of consecutive record
+/// addresses, each at most one warp-wide access long.
+fn contiguous_runs(entries: &[(Addr, u64)]) -> impl Iterator<Item = &[(Addr, u64)]> {
+    let mut rest = entries;
+    std::iter::from_fn(move || {
+        let &(first, _) = rest.first()?;
+        let len = rest
+            .iter()
+            .take(RUN_CAP)
+            .enumerate()
+            .take_while(|&(i, &(rec, _))| rec == first + i as u64)
+            .count();
+        let (run, tail) = rest.split_at(len);
+        rest = tail;
+        Some(run)
+    })
+}
+
 /// An in-flight transaction.
 pub struct Tx<'s> {
     stm: &'s Stm,
     marker: u64,
     /// (record address, observed version).
     reads: Vec<(Addr, u64)>,
-    /// (word address, old value) — undo log, rolled back in reverse.
-    undo: Vec<(Addr, u64)>,
+    /// (block address, words) — undo log, rolled back in reverse; the old
+    /// words of every entry are stacked in `undo_words`.
+    undo: Vec<(Addr, usize)>,
+    undo_words: Vec<u64>,
     /// (record address, pre-lock version) for stripes this tx owns.
     owned: Vec<(Addr, u64)>,
     /// (block address, words, align) retirements deferred to commit: a
@@ -126,41 +183,65 @@ impl<'s> Tx<'s> {
         self.owned.iter().any(|&(r, _)| r == rec)
     }
 
-    /// Transactional read with eager conflict detection.
-    ///
-    /// TL2-style post-validation: the ownership record is read *before and
-    /// after* the data word. Without the second check, a concurrent writer
-    /// could install a value, hand it to this reader, and then abort —
-    /// restoring the record's version so that commit-time validation would
-    /// miss the dirty read entirely.
+    /// Transactional read of one word: a one-word
+    /// [`read_block`](Self::read_block).
     pub fn read(&mut self, ctx: &mut WarpCtx<'_>, addr: Addr) -> TxResult<u64> {
-        let rec = self.stm.record_addr(addr);
-        // Ownership-record traffic is STM overhead; the data-word access
-        // below stays attributed to the caller's phase so tree-level phase
-        // breakdowns remain visible under STM protection.
+        let mut word = [0u64];
+        self.read_block(ctx, addr, &mut word)?;
+        Ok(word[0])
+    }
+
+    /// Warp-cooperative transactional read of `out.len()` contiguous
+    /// words with eager conflict detection: one block read of the
+    /// covering record run (aborting on a foreign owner), one coalesced
+    /// data read, one block re-read of the records, and one read-set entry
+    /// per record not owned by this transaction. Words this transaction
+    /// wrote read through.
+    ///
+    /// The re-read is TL2-style post-validation. Without it, a concurrent
+    /// writer could install a value, hand it to this reader, and then
+    /// abort; the post-check catches that dirty read at once instead of at
+    /// commit.
+    ///
+    /// Ownership-record traffic is charged to [`Phase::StmAccess`]; the
+    /// data access stays in the caller's phase, so tree-level phase rows
+    /// remain visible under STM protection.
+    pub fn read_block(
+        &mut self,
+        ctx: &mut WarpCtx<'_>,
+        base: Addr,
+        out: &mut [u64],
+    ) -> TxResult<()> {
+        let runs = self.stm.record_runs(base, out.len());
+        let n = runs[0].1 + runs[1].1;
+        let mut before = [0u64; RUN_CAP];
+        let before = &mut before[..n];
         let prev = ctx.set_phase(Phase::StmAccess);
-        // Ownership check, read-set append, and lock/version decode are
-        // all control flow in the real implementation.
         ctx.control(4);
-        let r1 = ctx.read(rec);
+        read_records(ctx, &runs, before);
         ctx.set_phase(prev);
-        if r1 & 1 == 1 {
-            if r1 != self.marker {
-                return Err(Abort); // owned by someone else
-            }
-            // Owned by us: read through.
-            return Ok(ctx.read(addr));
+        if before.iter().any(|&r| r & 1 == 1 && r != self.marker) {
+            return Err(Abort); // some stripe is owned by someone else
         }
-        let value = ctx.read(addr);
+        ctx.read_block(base, out);
+        if before.iter().all(|&r| r == self.marker) {
+            return Ok(()); // all ours: nothing to validate
+        }
+        let mut after = [0u64; RUN_CAP];
+        let after = &mut after[..n];
         let prev = ctx.set_phase(Phase::StmAccess);
-        let r2 = ctx.read(rec);
+        read_records(ctx, &runs, after);
         ctx.control(1);
         ctx.set_phase(prev);
-        if r2 != r1 {
-            return Err(Abort); // writer interfered mid-read
+        if before != after {
+            return Err(Abort); // a writer interfered mid-read
         }
-        self.reads.push((rec, r1));
-        Ok(value)
+        for (rec, &ver) in record_addrs(&runs).zip(before.iter()) {
+            if ver != self.marker {
+                self.reads.push((rec, ver));
+            }
+        }
+        Ok(())
     }
 
     /// Transactional write with encounter-time locking and undo logging.
@@ -185,31 +266,91 @@ impl<'s> Tx<'s> {
             self.owned.push((rec, cur));
         }
         let old = ctx.read(addr);
-        self.undo.push((addr, old));
+        self.undo.push((addr, 1));
+        self.undo_words.push(old);
         ctx.set_phase(prev);
         ctx.write(addr, value);
         Ok(())
     }
 
-    /// Validates the read set and publishes: owned versions advance by 2.
-    pub fn commit(self, ctx: &mut WarpCtx<'_>) -> TxResult<()> {
-        let prev = ctx.set_phase(Phase::StmCommit);
-        // Validate: every read record still shows the version we saw,
-        // unless we later acquired it ourselves.
-        for &(rec, ver) in &self.reads {
-            ctx.control(2);
-            let cur = ctx.read(rec);
-            let ok = cur == ver || (cur == self.marker && self.pre_lock_version(rec) == Some(ver));
-            if !ok {
-                self.rollback(ctx);
+    /// Warp-cooperative transactional write of contiguous words: one
+    /// block read of the covering record run, one CAS per stripe not yet
+    /// owned (aborting on a foreign owner or a lost race), one block read
+    /// of the old words into the undo log, and one coalesced block write.
+    pub fn write_block(
+        &mut self,
+        ctx: &mut WarpCtx<'_>,
+        base: Addr,
+        values: &[u64],
+    ) -> TxResult<()> {
+        let runs = self.stm.record_runs(base, values.len());
+        let n = runs[0].1 + runs[1].1;
+        let mut cur = [0u64; RUN_CAP];
+        let cur = &mut cur[..n];
+        let prev = ctx.set_phase(Phase::StmAccess);
+        ctx.control(6);
+        read_records(ctx, &runs, cur);
+        for (rec, &ver) in record_addrs(&runs).zip(cur.iter()) {
+            if ver == self.marker {
+                continue; // already ours
+            }
+            if ver & 1 == 1 || ctx.atomic_cas(rec, ver, self.marker).is_err() {
                 ctx.set_phase(prev);
                 return Err(Abort);
             }
+            self.owned.push((rec, ver));
         }
-        // Publish: bump versions and release locks.
-        for &(rec, ver) in &self.owned {
-            ctx.write(rec, ver.wrapping_add(2));
+        let start = self.undo_words.len();
+        self.undo_words.resize(start + values.len(), 0);
+        ctx.read_block(base, &mut self.undo_words[start..]);
+        self.undo.push((base, values.len()));
+        ctx.set_phase(prev);
+        ctx.write_block(base, values);
+        Ok(())
+    }
+
+    /// True if every read record still shows the version this transaction
+    /// saw (or this transaction has since locked it from that version).
+    /// One block read per contiguous run of the read set.
+    fn validate(&self, ctx: &mut WarpCtx<'_>) -> bool {
+        for run in contiguous_runs(&self.reads) {
+            ctx.control(2);
+            let mut now = [0u64; RUN_CAP];
+            let now = &mut now[..run.len()];
+            ctx.read_block(run[0].0, now);
+            let ok = run.iter().zip(now.iter()).all(|(&(rec, ver), &cur)| {
+                cur == ver || (cur == self.marker && self.pre_lock_version(rec) == Some(ver))
+            });
+            if !ok {
+                return false;
+            }
         }
+        true
+    }
+
+    /// Releases every owned stripe at its pre-lock version plus 2, one
+    /// block write per contiguous run. Commit and rollback both advance
+    /// the version: a rollback that restored the old version would let a
+    /// reader that saw the aborted writer's dirty word validate it.
+    fn release(&self, ctx: &mut WarpCtx<'_>) {
+        for run in contiguous_runs(&self.owned) {
+            let mut next = [0u64; RUN_CAP];
+            for (w, &(_, ver)) in next.iter_mut().zip(run) {
+                *w = ver.wrapping_add(2);
+            }
+            ctx.write_block(run[0].0, &next[..run.len()]);
+        }
+    }
+
+    /// Validates the read set and publishes: owned versions advance by 2.
+    pub fn commit(self, ctx: &mut WarpCtx<'_>) -> TxResult<()> {
+        let prev = ctx.set_phase(Phase::StmCommit);
+        if !self.validate(ctx) {
+            self.rollback(ctx);
+            ctx.set_phase(prev);
+            return Err(Abort);
+        }
+        self.release(ctx);
         // The tree no longer references deferred-retired blocks (the
         // unlinking writes just published), so quarantine them now.
         for &(addr, words, align) in &self.retires {
@@ -238,16 +379,17 @@ impl<'s> Tx<'s> {
         self.owned.iter().find(|&&(r, _)| r == rec).map(|&(_, v)| v)
     }
 
-    /// Rolls back all writes (in reverse) and releases owned stripes with
-    /// their versions unchanged.
+    /// Rolls back all writes (in reverse, one block write per logged
+    /// block) and releases owned stripes at an advanced version.
     pub fn rollback(self, ctx: &mut WarpCtx<'_>) {
         let prev = ctx.set_phase(Phase::StmCommit);
-        for &(addr, old) in self.undo.iter().rev() {
-            ctx.write(addr, old);
+        let mut end = self.undo_words.len();
+        for &(base, len) in self.undo.iter().rev() {
+            let start = end - len;
+            ctx.write_block(base, &self.undo_words[start..end]);
+            end = start;
         }
-        for &(rec, ver) in &self.owned {
-            ctx.write(rec, ver);
-        }
+        self.release(ctx);
         // Blocks this tx allocated were never published (the undo log
         // just unlinked any references), so quarantine them instead of
         // leaking them into the bump arena.
@@ -257,14 +399,14 @@ impl<'s> Tx<'s> {
         ctx.set_phase(prev);
     }
 
-    /// Number of words read so far (diagnostics).
+    /// Number of read-set entries so far (diagnostics).
     pub fn read_set_len(&self) -> usize {
         self.reads.len()
     }
 
     /// Number of words written so far (diagnostics).
     pub fn write_set_len(&self) -> usize {
-        self.undo.len()
+        self.undo_words.len()
     }
 }
 
@@ -556,5 +698,230 @@ mod tests {
         tx.read(&mut tx_ctx, a).unwrap();
         tx.commit(&mut tx_ctx).unwrap();
         assert!(tx_ctx.stats.mem_insts >= 2 * raw);
+    }
+
+    /// A 16-aligned, node-sized block (38 words) seeded with `1..=38`.
+    fn node_block(dev: &Device) -> Addr {
+        let base = dev.mem().alloc_aligned(BLOCK, 16);
+        for i in 0..BLOCK as u64 {
+            dev.mem().write(base + i, i + 1);
+        }
+        base
+    }
+
+    const BLOCK: usize = 38;
+
+    #[test]
+    fn foreign_owner_anywhere_in_the_range_aborts_block_ops() {
+        let dev = device();
+        let stm = Stm::new(dev.mem(), 256);
+        let base = node_block(&dev);
+        let mut ctx1 = WarpCtx::new(dev.mem(), dev.config(), 0);
+        let mut ctx2 = WarpCtx::new(dev.mem(), dev.config(), 1);
+        for i in 0..BLOCK as u64 {
+            let mut owner = stm.begin();
+            owner.write(&mut ctx1, base + i, 0).unwrap();
+            let mut t = stm.begin();
+            let mut out = [0u64; BLOCK];
+            assert_eq!(
+                t.read_block(&mut ctx2, base, &mut out),
+                Err(Abort),
+                "word {i}"
+            );
+            assert_eq!(t.write_block(&mut ctx2, base, &out), Err(Abort), "word {i}");
+            t.rollback(&mut ctx2);
+            owner.rollback(&mut ctx1);
+        }
+        for i in 0..BLOCK as u64 {
+            assert_eq!(
+                dev.mem().read(base + i),
+                i + 1,
+                "aborted writers left word {i}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_commit_to_any_word_of_a_read_block_fails_the_reader() {
+        let dev = device();
+        let stm = Stm::new(dev.mem(), 256);
+        let base = node_block(&dev);
+        let mut ctx1 = WarpCtx::new(dev.mem(), dev.config(), 0);
+        let mut ctx2 = WarpCtx::new(dev.mem(), dev.config(), 1);
+        for i in 0..BLOCK as u64 {
+            let mut reader = stm.begin();
+            let mut out = [0u64; BLOCK];
+            reader.read_block(&mut ctx1, base, &mut out).unwrap();
+            let mut writer = stm.begin();
+            writer.write(&mut ctx2, base + i, 1000 + i).unwrap();
+            writer.commit(&mut ctx2).unwrap();
+            assert_eq!(reader.commit(&mut ctx1), Err(Abort), "word {i}");
+        }
+        // Without interference the same read commits.
+        let mut reader = stm.begin();
+        let mut out = [0u64; BLOCK];
+        reader.read_block(&mut ctx1, base, &mut out).unwrap();
+        assert_eq!(reader.commit(&mut ctx1), Ok(()));
+    }
+
+    #[test]
+    fn write_block_rollback_restores_every_word() {
+        let dev = device();
+        let stm = Stm::new(dev.mem(), 256);
+        let base = node_block(&dev);
+        let mut ctx = WarpCtx::new(dev.mem(), dev.config(), 0);
+        let mut tx = stm.begin();
+        tx.write_block(&mut ctx, base, &[7u64; BLOCK]).unwrap();
+        tx.write(&mut ctx, base + 3, 9).unwrap();
+        tx.write_block(&mut ctx, base + 10, &[8u64; 5]).unwrap();
+        assert_eq!(tx.write_set_len(), BLOCK + 1 + 5);
+        tx.rollback(&mut ctx);
+        for i in 0..BLOCK as u64 {
+            assert_eq!(dev.mem().read(base + i), i + 1, "word {i}");
+        }
+    }
+
+    #[test]
+    fn read_block_reads_own_writes() {
+        let dev = device();
+        let stm = Stm::new(dev.mem(), 256);
+        let base = node_block(&dev);
+        let mut ctx = WarpCtx::new(dev.mem(), dev.config(), 0);
+        let mut tx = stm.begin();
+        tx.write_block(&mut ctx, base + 6, &[50, 51, 52]).unwrap();
+        tx.write(&mut ctx, base + 30, 99).unwrap();
+        let mut out = [0u64; BLOCK];
+        tx.read_block(&mut ctx, base, &mut out).unwrap();
+        assert_eq!(&out[6..9], &[50, 51, 52]);
+        assert_eq!(out[30], 99);
+        assert_eq!(out[0], 1);
+        tx.commit(&mut ctx).unwrap();
+        assert_eq!(dev.mem().read(base + 7), 51);
+    }
+
+    #[test]
+    fn record_runs_that_wrap_the_table_work() {
+        let dev = device();
+        let stripes = 32u64;
+        let stm = Stm::new(dev.mem(), stripes as usize);
+        // Pick a 16-aligned block whose 19 records start 8 before the end
+        // of the table, so they wrap.
+        let base = loop {
+            let b = node_block(&dev);
+            if (b >> 1) % stripes == stripes - 8 {
+                break b;
+            }
+        };
+        assert_eq!(
+            stm.record_addr(base + BLOCK as u64 - 1),
+            stm.record_addr(0) + 10
+        );
+        let mut ctx1 = WarpCtx::new(dev.mem(), dev.config(), 0);
+        let mut ctx2 = WarpCtx::new(dev.mem(), dev.config(), 1);
+        let mut t = stm.begin();
+        let mut out = [0u64; BLOCK];
+        t.read_block(&mut ctx1, base, &mut out).unwrap();
+        assert_eq!(out[37], 38);
+        t.write_block(&mut ctx1, base, &[5u64; BLOCK]).unwrap();
+        // A foreign access to the wrapped tail conflicts.
+        let mut other = stm.begin();
+        assert_eq!(other.read(&mut ctx2, base + 36), Err(Abort));
+        other.rollback(&mut ctx2);
+        t.commit(&mut ctx1).unwrap();
+        assert_eq!(dev.mem().read(base + 37), 5);
+        // A commit to the wrapped tail invalidates a block reader.
+        let mut reader = stm.begin();
+        reader.read_block(&mut ctx1, base, &mut out).unwrap();
+        let mut w = stm.begin();
+        w.write(&mut ctx2, base + 37, 6).unwrap();
+        w.commit(&mut ctx2).unwrap();
+        assert_eq!(reader.commit(&mut ctx1), Err(Abort));
+    }
+
+    #[test]
+    fn node_read_block_charges_block_costs() {
+        let dev = device();
+        let stm = Stm::new(dev.mem(), 256);
+        let base = node_block(&dev);
+        let mut ctx = WarpCtx::new(dev.mem(), dev.config(), 0);
+        let mut tx = stm.begin();
+        let mut out = [0u64; BLOCK];
+        tx.read_block(&mut ctx, base, &mut out).unwrap();
+        // Records (19, one run): 1 instruction, 2 transactions; data (38
+        // words): 2 instructions, 3 transactions; record re-read: 1, 2.
+        assert_eq!(ctx.stats.mem_insts, 4);
+        assert_eq!(ctx.stats.mem_transactions, 2 + 3 + 2);
+        assert_eq!(tx.read_set_len(), 19);
+        // Commit validates the run with one more block read.
+        tx.commit(&mut ctx).unwrap();
+        assert_eq!(ctx.stats.mem_insts, 5);
+    }
+
+    #[test]
+    fn rolled_back_record_never_shows_its_pre_lock_version() {
+        let dev = device();
+        let stm = Stm::new(dev.mem(), 256);
+        let a = dev.mem().alloc(1);
+        let rec = stm.record_addr(a);
+        let mut ctx = WarpCtx::new(dev.mem(), dev.config(), 0);
+        for _ in 0..4 {
+            let before = dev.mem().read(rec);
+            let mut tx = stm.begin();
+            tx.write(&mut ctx, a, 1).unwrap();
+            tx.rollback(&mut ctx);
+            let after = dev.mem().read(rec);
+            assert_eq!(after & 1, 0, "released");
+            assert_ne!(after, before, "rollback must advance the version");
+        }
+    }
+
+    #[test]
+    fn rolled_back_dirty_words_never_reach_a_committed_read() {
+        // Writers install POISON and abort; readers commit reads. With a
+        // yield after every device op, seeded schedules interleave a
+        // reader's record check, a writer's lock + dirty write + rollback,
+        // and the reader's post-check. A rollback that restored the
+        // pre-lock version would let such a reader commit POISON.
+        const POISON: u64 = 0xDEAD;
+        let poisoned = AtomicU64::new(0);
+        for seed in 0..64u64 {
+            let mut cfg = DeviceConfig::test_small().with_deterministic_sched(seed);
+            cfg.yield_interval = 1;
+            let dev = Device::new(1 << 12, cfg);
+            let stm = Stm::new(dev.mem(), 64);
+            let a = dev.mem().alloc_aligned(2, 2);
+            dev.mem().write(a, 1);
+            dev.mem().write(a + 1, 2);
+            dev.launch("aba", 6, |wid, ctx| {
+                for _ in 0..8 {
+                    if wid % 2 == 0 {
+                        let mut tx = stm.begin();
+                        if tx.write(ctx, a + (wid as u64 / 2) % 2, POISON).is_ok() {
+                            ctx.charge_cycles(1);
+                        }
+                        tx.rollback(ctx);
+                    } else {
+                        let block = wid % 4 == 3;
+                        let r = stm.run(ctx, usize::MAX >> 1, |tx, ctx| {
+                            if block {
+                                let mut w = [0u64; 2];
+                                tx.read_block(ctx, a, &mut w)?;
+                                Ok(w)
+                            } else {
+                                Ok([tx.read(ctx, a)?, tx.read(ctx, a + 1)?])
+                            }
+                        });
+                        if r.unwrap().contains(&POISON) {
+                            poisoned.fetch_add(1, Ordering::Relaxed);
+                        }
+                    }
+                }
+            });
+        }
+        assert_eq!(
+            poisoned.load(Ordering::Relaxed),
+            0,
+            "committed reads saw rolled-back words"
+        );
     }
 }
